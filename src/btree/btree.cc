@@ -286,7 +286,9 @@ Status BTree::Insert(std::span<const int64_t> key,
     std::memmove(base + (pos + 1) * stride_, base + pos * stride_,
                  static_cast<size_t>(leaf->count - pos) * stride_ * 8);
     std::memcpy(base + pos * stride_, key.data(), kw_ * 8);
-    std::memcpy(base + pos * stride_ + kw_, payload.data(), pw_ * 8);
+    // copy_n, not memcpy: a zero-width payload (delete buffers) may be a
+    // null span, which memcpy may not receive.
+    std::copy_n(payload.data(), pw_, base + pos * stride_ + kw_);
     ++leaf->count;
     ++num_entries_;
     return Status::OK();
@@ -315,7 +317,7 @@ Status BTree::Insert(std::span<const int64_t> key,
   std::memmove(base + (pos + 1) * stride_, base + pos * stride_,
                static_cast<size_t>(target->count - pos) * stride_ * 8);
   std::memcpy(base + pos * stride_, key.data(), kw_ * 8);
-  std::memcpy(base + pos * stride_ + kw_, payload.data(), pw_ * 8);
+  std::copy_n(payload.data(), pw_, base + pos * stride_ + kw_);
   ++target->count;
   ++num_entries_;
   InsertIntoParent(&path, leaf, right->Entry(0, stride_), right);
@@ -394,7 +396,7 @@ Status BTree::UpdatePayload(std::span<const int64_t> key,
       ComparePacked(leaf->Entry(pos, stride_), key.data(), kw_) != 0) {
     return Status::NotFound("key not in B+ tree");
   }
-  std::memcpy(leaf->Entry(pos, stride_) + kw_, payload.data(), pw_ * 8);
+  std::copy_n(payload.data(), pw_, leaf->Entry(pos, stride_) + kw_);
   return Status::OK();
 }
 
@@ -409,7 +411,7 @@ Status BTree::SeekEqual(std::span<const int64_t> key, int64_t* out,
       ComparePacked(leaf->Entry(pos, stride_), key.data(), kw_) != 0) {
     return Status::NotFound("key not in B+ tree");
   }
-  std::memcpy(out, leaf->Entry(pos, stride_) + kw_, pw_ * 8);
+  std::copy_n(leaf->Entry(pos, stride_) + kw_, pw_, out);
   return Status::OK();
 }
 

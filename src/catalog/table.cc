@@ -735,8 +735,9 @@ Status Table::FetchRow(int64_t rid, std::span<const int64_t> pk_hint,
           const size_t take = std::min(buf.size(), n - start);
           ls.Decode(start, take, buf.data());
           for (size_t i = 0; i < take; ++i) {
-            if (buf[i] == rid) {
-              if (rg.IsDeleted(start + i)) return Status::NotFound("deleted");
+            // An updated row leaves dead copies under its locator; its
+            // live image is in a later row group or the delta store.
+            if (buf[i] == rid && !rg.IsDeleted(start + i)) {
               for (int c = 0; c < ncols; ++c) {
                 HD_RETURN_IF_ERROR(rg.segment(c).Touch(pool_, m));
                 rg.segment(c).Decode(start + i, 1, &(*out)[c]);

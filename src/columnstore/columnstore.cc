@@ -66,21 +66,10 @@ void ColumnStoreIndex::SyncTelemetry() {
   now.deleted_rows = static_cast<int64_t>(compressed_deleted_);
   now.delta_rows = static_cast<int64_t>(delta_rows());
   now.delete_buffer_rows = static_cast<int64_t>(delete_buffer_rows());
-  if (now.row_groups == published_.row_groups) {
-    // Group set unchanged: the byte totals cannot have moved, and
-    // recomputing them walks every segment — skip (keeps the per-insert
-    // cost of this sync O(1)).
-    now.compressed_bytes = published_.compressed_bytes;
-    now.raw_bytes = published_.raw_bytes;
-  } else {
-    uint64_t cb = 0;
-    for (const auto& g : groups_) cb += g->size_bytes();
-    now.compressed_bytes = static_cast<int64_t>(cb);
-    // Uncompressed footprint of the same rows (cols + locator, 8 B each),
-    // for the compression-ratio health signal.
-    now.raw_bytes =
-        static_cast<int64_t>(compressed_rows_ * (ncols_ + 1) * 8);
-  }
+  now.compressed_bytes = static_cast<int64_t>(compressed_bytes_);
+  // Uncompressed footprint of the same rows, for the compression-ratio
+  // health signal.
+  now.raw_bytes = static_cast<int64_t>(RawBytes(compressed_rows_));
   Stats().row_groups->Add(now.row_groups - published_.row_groups);
   Stats().compressed_rows->Add(now.compressed_rows -
                                published_.compressed_rows);
@@ -124,6 +113,7 @@ void ColumnStoreIndex::BuildGroups(std::vector<std::vector<int64_t>> cols,
                                locators.begin() + start + take);
     auto g = std::make_unique<RowGroup>();
     g->Build(std::move(gcols), std::move(glocs), opts_, pool_);
+    compressed_bytes_ += g->size_bytes();
     groups_.push_back(std::move(g));
     compressed_rows_ += take;
   }
@@ -145,7 +135,13 @@ Status ColumnStoreIndex::Insert(std::span<const int64_t> row, int64_t locator,
   HD_RETURN_IF_ERROR(
       delta_->Insert(std::span<const int64_t>(&key, 1), payload, m));
   delta_key_of_locator_[locator] = key;
-  if (delta_->num_entries() >= opts_.rowgroup_size) {
+  // Close the delta at the row-group size, or earlier once its raw rows
+  // outweigh the compressed row groups: the uncompressed part of the index
+  // never exceeds the compressed part (an index with no compressed rows
+  // waits for the row-group size).
+  const uint64_t delta_n = delta_->num_entries();
+  if (delta_n >= opts_.rowgroup_size ||
+      (compressed_rows_ > 0 && RawBytes(delta_n) > compressed_bytes_)) {
     // A failed flush is a deferral, not an insert failure: the delta keeps
     // growing past the threshold, scans keep unioning it, and the next
     // insert past the threshold (or an explicit Reorganize) retries.
@@ -183,6 +179,7 @@ Status ColumnStoreIndex::CompressDelta(QueryMetrics* m) {
     HD_RETURN_IF_ERROR(pool_->disk()->Write(g->size_bytes(),
                                             IoPattern::kSequential, m));
   }
+  compressed_bytes_ += g->size_bytes();
   groups_.push_back(std::move(g));
   compressed_rows_ += n;
   delta_ = std::make_unique<BTree>(1, ncols_ + 1, pool_);
@@ -242,6 +239,9 @@ Status ColumnStoreIndex::DeleteBatch(std::span<const int64_t> locators,
         const size_t take = std::min<size_t>(kBatchSize, n - start);
         ls.Decode(start, take, buf.data());
         for (size_t i = 0; i < take; ++i) {
+          // A locator recurs once its row was updated and the delta closed
+          // again; only its one live copy is the row to delete.
+          if (g->IsDeleted(start + i)) continue;
           auto it = want.find(buf[i]);
           if (it != want.end()) {
             g->SetDeleted(start + i);
@@ -283,12 +283,13 @@ Status ColumnStoreIndex::CompactDeleteBuffer(QueryMetrics* m) {
       const size_t take = std::min<size_t>(kBatchSize, n - start);
       ls.Decode(start, take, buf.data());
       for (size_t i = 0; i < take; ++i) {
+        // Skip dead copies of a recurring locator (see DeleteBatch): the
+        // buffered delete belongs to its live copy.
+        if (g->IsDeleted(start + i)) continue;
         auto it = dead.find(buf[i]);
         if (it != dead.end()) {
-          if (!g->IsDeleted(start + i)) {
-            g->SetDeleted(start + i);
-            ++compressed_deleted_;
-          }
+          g->SetDeleted(start + i);
+          ++compressed_deleted_;
           dead.erase(it);
         }
       }
@@ -309,8 +310,7 @@ uint64_t ColumnStoreIndex::num_rows() const {
 }
 
 uint64_t ColumnStoreIndex::size_bytes() const {
-  uint64_t b = 0;
-  for (const auto& g : groups_) b += g->size_bytes();
+  uint64_t b = compressed_bytes_;
   if (delta_) b += delta_->size_bytes();
   if (delete_buffer_) b += delete_buffer_->size_bytes();
   return b;
@@ -1041,6 +1041,7 @@ Status ColumnStoreIndex::Reorganize() {
   groups_.clear();
   compressed_rows_ = 0;
   compressed_deleted_ = 0;
+  compressed_bytes_ = 0;
   delta_ = std::make_unique<BTree>(1, ncols_ + 1, pool_);
   delta_seq_ = 0;
   delta_key_of_locator_.clear();

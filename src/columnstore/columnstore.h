@@ -122,9 +122,13 @@ class ColumnStoreIndex {
   void BulkLoad(std::vector<std::vector<int64_t>> cols,
                 std::vector<int64_t> locators);
 
-  /// Trickle-insert one row into the delta store. A failed automatic delta
-  /// flush does NOT fail the insert — the delta simply stays resident
-  /// (scans union it) and a later flush retries.
+  /// Trickle-insert one row into the delta store, then close the delta
+  /// (CompressDelta) once it reaches CsiOptions::rowgroup_size rows or,
+  /// when the index has compressed rows, once its raw bytes exceed the
+  /// compressed row groups' bytes — so the delta never outweighs the
+  /// compressed data. A failed automatic delta flush does NOT fail the
+  /// insert — the delta simply stays resident (scans union it) and the
+  /// next insert retries.
   Status Insert(std::span<const int64_t> row, int64_t locator,
                 QueryMetrics* m);
 
@@ -261,9 +265,10 @@ class ColumnStoreIndex {
   /// the `csi.reorganize` failpoint or an underlying read fires.
   Status Reorganize();
 
-  /// Compress a full delta store into a new row group (invoked
-  /// automatically when the delta reaches the row-group size, like SQL
-  /// Server's tuple mover closing a delta row group). On failure — the
+  /// Compress the delta store into a new row group (invoked by Insert when
+  /// the delta closes — at the row-group size or once it outweighs the
+  /// compressed data — like SQL Server's tuple mover closing a delta row
+  /// group). On failure — the
   /// `csi.compress_delta` failpoint or a propagated I/O error — the delta
   /// store is left intact and queryable; the flush is simply deferred.
   Status CompressDelta(QueryMetrics* m);
@@ -283,6 +288,9 @@ class ColumnStoreIndex {
  private:
   void BuildGroups(std::vector<std::vector<int64_t>> cols,
                    std::vector<int64_t> locators);
+
+  /// Uncompressed bytes of `rows` rows: stored columns + locator, 8 B each.
+  uint64_t RawBytes(uint64_t rows) const { return rows * (ncols_ + 1) * 8; }
 
   /// Publish the delta between this index's current health stats and what
   /// it last published into the process-wide telemetry gauges
@@ -312,6 +320,8 @@ class ColumnStoreIndex {
   std::vector<std::unique_ptr<RowGroup>> groups_;
   uint64_t compressed_rows_ = 0;
   uint64_t compressed_deleted_ = 0;
+  /// Sum of groups_[i]->size_bytes(), kept as groups are built.
+  uint64_t compressed_bytes_ = 0;
 
   /// Delta store: B+ tree keyed by insert sequence; payload = row cols +
   /// locator. The side map locates a delta row by locator in O(1) so

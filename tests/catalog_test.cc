@@ -222,6 +222,34 @@ TEST_F(TableTest, FetchRowByLocatorAllPrimaries) {
   EXPECT_EQ(out[0], 17);
 }
 
+TEST_F(TableTest, FetchRowFindsUpdatedRowInPrimaryColumnstore) {
+  ASSERT_TRUE(t_->SetPrimary(PrimaryKind::kColumnStore).ok());
+  RowRef ref;
+  t_->ScanAll(
+      [&](int64_t rid, const int64_t* row) {
+        if (row[0] != 17) return true;
+        ref.rid = rid;
+        ref.row.assign(row, row + 4);
+        return false;
+      },
+      nullptr);
+  ASSERT_GE(ref.rid, 0);
+  // An update deletes the compressed copy and re-inserts the row under the
+  // same locator; closing the delta twice leaves two dead copies.
+  for (int round = 1; round <= 3; ++round) {
+    PackedRow updated = ref.row;
+    updated[0] = 1000 + round;
+    ASSERT_TRUE(t_->UpdateRows({ref}, {updated}, nullptr).ok());
+    ref.row = updated;
+    PackedRow out;
+    ASSERT_TRUE(t_->FetchRow(ref.rid, {}, &out, nullptr).ok()) << round;
+    EXPECT_EQ(out[0], 1000 + round);
+    ASSERT_TRUE(t_->primary_csi()->CompressDelta(nullptr).ok());
+    ASSERT_TRUE(t_->FetchRow(ref.rid, {}, &out, nullptr).ok()) << round;
+    EXPECT_EQ(out[0], 1000 + round);
+  }
+}
+
 TEST_F(TableTest, SampleBlocksApproximatesRatio) {
   std::vector<std::vector<int64_t>> cols;
   t_->SampleBlocks(0.5, 3, /*block_rows=*/16, &cols);

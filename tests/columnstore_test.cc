@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <unordered_set>
 
 #include "columnstore/columnstore.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
 
 namespace hd {
@@ -370,6 +372,173 @@ TEST_F(CsiTest, SortedColumnstoreSurvivesReorganize) {
     prev_max = csi.row_group(g).segment(0).max_value();
   }
   EXPECT_EQ(csi.num_rows(), 10100u);
+}
+
+// Live-row census of a CSI: rows, SUM(col1) and distinct locators across
+// the row groups and the delta store.
+struct Census {
+  uint64_t rows = 0;
+  int64_t sum1 = 0;
+  size_t distinct_locators = 0;
+};
+
+Census TakeCensus(const ColumnStoreIndex& csi) {
+  Census c;
+  std::unordered_set<int64_t> locs;
+  auto fn = [&](const ColumnBatch& b) {
+    c.rows += b.count;
+    for (int i = 0; i < b.count; ++i) {
+      c.sum1 += b.cols[1][i];
+      locs.insert(b.locators[i]);
+    }
+    return true;
+  };
+  EXPECT_TRUE(
+      csi.ScanGroups(0, csi.num_row_groups(), {0, 1}, {}, fn, nullptr).ok());
+  EXPECT_TRUE(csi.ScanDelta({0, 1}, {}, fn, nullptr).ok());
+  c.distinct_locators = locs.size();
+  return c;
+}
+
+uint64_t CompressedBytes(const ColumnStoreIndex& csi) {
+  uint64_t b = 0;
+  for (int g = 0; g < csi.num_row_groups(); ++g) {
+    b += csi.row_group(g).size_bytes();
+  }
+  return b;
+}
+
+// Raw bytes of `rows` delta rows of a 2-column index: 2 columns + locator.
+constexpr uint64_t RawDeltaBytes(uint64_t rows) { return rows * 3 * 8; }
+
+TEST_F(CsiTest, DeltaClosesOnceItOutweighsCompressedData) {
+  // One bulk-loaded row group; a row-group size no trickle stream reaches.
+  auto csi = MakeCsi(ColumnStoreIndex::Kind::kSecondary, 10000, 1 << 17);
+  ASSERT_EQ(csi->num_row_groups(), 1);
+  uint64_t ref_rows = 10000;
+  int64_t ref_sum = 0;
+  for (int64_t i = 0; i < 10000; ++i) ref_sum += i % 97;
+  int flushes = 0;
+  for (int64_t i = 0; flushes < 2; ++i) {
+    ASSERT_LT(i, 100000) << "delta never closed";
+    const int groups = csi->num_row_groups();
+    const uint64_t compressed = CompressedBytes(*csi);
+    const uint64_t delta = csi->delta_rows();
+    const bool closes = RawDeltaBytes(delta + 1) > compressed;
+    if (closes) {
+      const Census before = TakeCensus(*csi);
+      EXPECT_EQ(before.rows, ref_rows);
+      EXPECT_EQ(before.sum1, ref_sum);
+      EXPECT_EQ(csi->num_rows(), ref_rows);
+    }
+    std::vector<int64_t> row = {100000 + i, i % 13};
+    ASSERT_TRUE(csi->Insert(row, 10000 + i, nullptr).ok());
+    ++ref_rows;
+    ref_sum += i % 13;
+    if (!closes) {
+      ASSERT_EQ(csi->num_row_groups(), groups) << "closed early at " << i;
+      ASSERT_EQ(csi->delta_rows(), delta + 1);
+      continue;
+    }
+    // Closed before the row-group size, into one new row group.
+    ++flushes;
+    EXPECT_LT(delta + 1, csi->options().rowgroup_size);
+    ASSERT_EQ(csi->num_row_groups(), groups + 1);
+    EXPECT_EQ(csi->delta_rows(), 0u);
+    EXPECT_EQ(csi->row_group(groups).num_rows(), delta + 1);
+    EXPECT_EQ(csi->num_rows(), ref_rows);
+    const Census after = TakeCensus(*csi);
+    EXPECT_EQ(after.rows, ref_rows);
+    EXPECT_EQ(after.sum1, ref_sum);
+    EXPECT_EQ(after.distinct_locators, ref_rows);
+  }
+}
+
+TEST_F(CsiTest, DeltaWithoutCompressedRowsWaitsForRowGroupSize) {
+  auto csi = MakeCsi(ColumnStoreIndex::Kind::kSecondary, 0, 256);
+  ASSERT_EQ(csi->num_row_groups(), 0);
+  for (int64_t i = 0; i < 255; ++i) {
+    std::vector<int64_t> row = {i, i % 7};
+    ASSERT_TRUE(csi->Insert(row, i, nullptr).ok());
+  }
+  EXPECT_EQ(csi->num_row_groups(), 0);
+  EXPECT_EQ(csi->delta_rows(), 255u);
+  std::vector<int64_t> row = {255, 255 % 7};
+  ASSERT_TRUE(csi->Insert(row, 255, nullptr).ok());
+  EXPECT_EQ(csi->num_row_groups(), 1);
+  EXPECT_EQ(csi->delta_rows(), 0u);
+  EXPECT_EQ(TakeCensus(*csi).rows, 256u);
+}
+
+TEST_F(CsiTest, FailedEarlyCloseIsDeferredWithoutLosingRows) {
+  auto csi = MakeCsi(ColumnStoreIndex::Kind::kSecondary, 10000, 1 << 17);
+  const uint64_t compressed = CompressedBytes(*csi);
+  // Fill the delta up to the last row that does not close it.
+  int64_t next = 0;
+  while (RawDeltaBytes(csi->delta_rows() + 1) <= compressed) {
+    std::vector<int64_t> row = {100000 + next, next % 13};
+    ASSERT_TRUE(csi->Insert(row, 10000 + next, nullptr).ok());
+    ++next;
+  }
+  ASSERT_EQ(csi->num_row_groups(), 1);
+  {
+    ScopedFailPoint fp("csi.compress_delta", FailSpec::Always(Code::kIoError));
+    for (int k = 0; k < 5; ++k, ++next) {
+      std::vector<int64_t> row = {100000 + next, next % 13};
+      ASSERT_TRUE(csi->Insert(row, 10000 + next, nullptr).ok());
+    }
+    EXPECT_EQ(FailPoints::Instance().HitCount("csi.compress_delta"), 5u);
+    EXPECT_EQ(csi->num_row_groups(), 1);
+    EXPECT_EQ(csi->delta_rows(), static_cast<uint64_t>(next));
+  }
+  int64_t ref_sum = 0;
+  for (int64_t i = 0; i < 10000; ++i) ref_sum += i % 97;
+  for (int64_t i = 0; i < next; ++i) ref_sum += i % 13;
+  const uint64_t ref_rows = 10000 + static_cast<uint64_t>(next);
+  Census deferred = TakeCensus(*csi);
+  EXPECT_EQ(deferred.rows, ref_rows);
+  EXPECT_EQ(deferred.sum1, ref_sum);
+  EXPECT_EQ(deferred.distinct_locators, ref_rows);
+  // The next insert retries the flush and succeeds.
+  std::vector<int64_t> row = {100000 + next, next % 13};
+  ASSERT_TRUE(csi->Insert(row, 10000 + next, nullptr).ok());
+  EXPECT_EQ(csi->num_row_groups(), 2);
+  EXPECT_EQ(csi->delta_rows(), 0u);
+  const Census flushed = TakeCensus(*csi);
+  EXPECT_EQ(flushed.rows, ref_rows + 1);
+  EXPECT_EQ(flushed.sum1, ref_sum + next % 13);
+  EXPECT_EQ(flushed.distinct_locators, ref_rows + 1);
+  EXPECT_EQ(csi->num_rows(), ref_rows + 1);
+}
+
+TEST_F(CsiTest, RowUpdatedAcrossDeltaClosesKeepsOneLiveCopy) {
+  // An update is delete + re-insert under the same locator, so once the
+  // delta closes twice the locator has dead copies in older row groups;
+  // deletes must land on the live copy.
+  for (auto kind :
+       {ColumnStoreIndex::Kind::kSecondary, ColumnStoreIndex::Kind::kPrimary}) {
+    SCOPED_TRACE(kind == ColumnStoreIndex::Kind::kPrimary ? "primary"
+                                                          : "secondary");
+    auto csi = MakeCsi(kind, 1000, 1 << 17);
+    int64_t ref_sum = 0;
+    for (int64_t i = 0; i < 1000; ++i) ref_sum += i % 97;
+    int64_t old_value = 7 % 97;
+    for (int64_t round = 1; round <= 3; ++round) {
+      const std::vector<int64_t> loc = {7};
+      ASSERT_TRUE(csi->DeleteBatch(loc, nullptr).ok());
+      const std::vector<int64_t> row = {7, 1000 + round};
+      ASSERT_TRUE(csi->Insert(row, 7, nullptr).ok());
+      ASSERT_TRUE(csi->CompressDelta(nullptr).ok());
+      ref_sum += 1000 + round - old_value;
+      old_value = 1000 + round;
+      EXPECT_EQ(csi->num_row_groups(), 1 + round);
+      EXPECT_EQ(csi->num_rows(), 1000u);
+      const Census c = TakeCensus(*csi);
+      EXPECT_EQ(c.rows, 1000u) << "round " << round;
+      EXPECT_EQ(c.distinct_locators, 1000u);
+      EXPECT_EQ(c.sum1, ref_sum);
+    }
+  }
 }
 
 TEST_F(CsiTest, ScanEarlyStop) {
