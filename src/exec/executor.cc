@@ -913,16 +913,18 @@ Status Executor::Impl::AcquireReadLocks() {
   if (!use_table_lock) return Status::OK();
   return ctx.txns->locks()->Acquire(ctx.txn->id(),
                                     LockResource{table_hash},
-                                    LockMode::kS, ctx.lock_timeout_ms);
+                                    LockMode::kS, ctx.lock_timeout_ms,
+                                    ctx.txn->age());
 }
 
 Status Executor::Impl::LockRowX(int64_t rid) {
   HD_RETURN_IF_ERROR(ctx.txns->locks()->Acquire(
       ctx.txn->id(), LockResource{table_hash}, LockMode::kIX,
-      ctx.lock_timeout_ms));
+      ctx.lock_timeout_ms, ctx.txn->age()));
   return ctx.txns->locks()->Acquire(ctx.txn->id(),
                                     LockResource{table_hash, rid},
-                                    LockMode::kX, ctx.lock_timeout_ms);
+                                    LockMode::kX, ctx.lock_timeout_ms,
+                                    ctx.txn->age());
 }
 
 void Executor::Impl::PayVersionCost(int64_t rid) {
@@ -1408,9 +1410,9 @@ Status Executor::Impl::RunSelect() {
     sink_in[w]++;
     PayVersionCost(rid);
     if (row_read_locks) {
-      Status s = ctx.txns->locks()->Acquire(ctx.txn->id(),
-                                            LockResource{table_hash, rid},
-                                            LockMode::kS, ctx.lock_timeout_ms);
+      Status s = ctx.txns->locks()->Acquire(
+          ctx.txn->id(), LockResource{table_hash, rid}, LockMode::kS,
+          ctx.lock_timeout_ms, ctx.txn->age());
       if (!s.ok()) {
         // Stop the scan and surface the lock failure (deadlock victim /
         // injected timeout) as the statement status so the caller retries.

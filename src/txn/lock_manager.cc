@@ -1,7 +1,9 @@
 #include "txn/lock_manager.h"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <unordered_map>
 
 #include "common/failpoint.h"
 #include "common/telemetry.h"
@@ -17,6 +19,7 @@ struct LockStats {
   TCounter* grants = Telemetry::Instance().Counter("lock.grants");
   TCounter* waits = Telemetry::Instance().Counter("lock.waits");
   TCounter* timeouts = Telemetry::Instance().Counter("lock.timeouts");
+  TCounter* deadlocks = Telemetry::Instance().Counter("lock.deadlocks");
   THistogram* wait_ns = Telemetry::Instance().Histogram("lock.wait_ns");
 };
 
@@ -57,19 +60,73 @@ uint64_t LockManager::HashTable(const std::string& name) {
 }
 
 bool LockManager::CanGrant(const LockState& st, uint64_t txn_id,
-                           LockMode mode, uint64_t ticket) {
+                           LockMode mode, uint64_t ticket,
+                           std::vector<uint64_t>* blockers) {
+  if (blockers != nullptr) blockers->clear();
+  bool grantable = true;
   for (const auto& [other, held] : st.granted) {
     if (other == txn_id) continue;
-    if (!LockCompatible(held, mode)) return false;
+    if (!LockCompatible(held, mode)) {
+      if (blockers == nullptr) return false;
+      grantable = false;
+      blockers->push_back(other);
+    }
   }
   // Fairness: wait behind earlier incompatible waiters.
   for (const auto& w : st.waiters) {
     if (w.txn == txn_id || w.ticket >= ticket) continue;
     if (!LockCompatible(w.mode, mode) || !LockCompatible(mode, w.mode)) {
-      return false;
+      if (blockers == nullptr) return false;
+      grantable = false;
+      blockers->push_back(w.txn);
     }
   }
-  return true;
+  return grantable;
+}
+
+bool LockManager::DeadlockVictim(uint64_t ticket, uint64_t txn, uint64_t age,
+                                 const std::vector<uint64_t>& blockers) {
+  std::lock_guard<std::mutex> g(graph_mu_);
+  waits_[ticket] = WaitEdge{txn, age, blockers};
+  // Edges by transaction: parallel scan workers can block one transaction
+  // on several resources at once.
+  std::unordered_map<uint64_t, std::vector<uint64_t>> out;
+  std::unordered_map<uint64_t, uint64_t> ages;
+  for (const auto& [t, e] : waits_) {
+    auto& v = out[e.txn];
+    v.insert(v.end(), e.blockers.begin(), e.blockers.end());
+    ages[e.txn] = e.age;
+  }
+  // Depth-first search from this request's blockers back to `txn`. Only
+  // blocked transactions have out-edges, so a running holder ends a path.
+  std::unordered_map<uint64_t, uint64_t> parent;
+  std::vector<uint64_t> stack;
+  for (uint64_t b : blockers) {
+    if (parent.emplace(b, txn).second) stack.push_back(b);
+  }
+  while (!stack.empty()) {
+    const uint64_t n = stack.back();
+    stack.pop_back();
+    if (n == txn) {
+      // Walk the cycle; abort here only if no member is younger.
+      for (uint64_t m = parent[txn]; m != txn; m = parent[m]) {
+        const uint64_t m_age = ages[m];
+        if (m_age > age || (m_age == age && m > txn)) return false;
+      }
+      return true;
+    }
+    auto it = out.find(n);
+    if (it == out.end()) continue;
+    for (uint64_t m : it->second) {
+      if (parent.emplace(m, n).second) stack.push_back(m);
+    }
+  }
+  return false;
+}
+
+void LockManager::EraseWait(uint64_t ticket) {
+  std::lock_guard<std::mutex> g(graph_mu_);
+  waits_.erase(ticket);
 }
 
 namespace {
@@ -88,7 +145,7 @@ int Strength(LockMode m) {
 }  // namespace
 
 Status LockManager::Acquire(uint64_t txn_id, const LockResource& res,
-                            LockMode mode, int timeout_ms) {
+                            LockMode mode, int timeout_ms, uint64_t age) {
   // Spurious timeout injection: the caller sees the same Aborted status a
   // real deadlock victim gets, so its rollback/retry path is exercised
   // without having to manufacture an actual lock cycle.
@@ -126,16 +183,33 @@ Status LockManager::Acquire(uint64_t txn_id, const LockResource& res,
             std::chrono::steady_clock::now() - wait_start)
             .count());
   };
-  while (!CanGrant(st, txn_id, mode, ticket)) {
-    if (sh.cv.wait_until(g, deadline) == std::cv_status::timeout &&
-        !CanGrant(st, txn_id, mode, ticket)) {
-      remove_waiter();
-      sh.cv.notify_all();  // successors may now be grantable
-      record_wait();
-      Stats().timeouts->Add(1);
-      return Status::Aborted("lock timeout (deadlock victim)");
+  // A blocked request publishes its waits-for edges and re-checks them on
+  // every wake-up; the poll bounds how long the youngest member of a cycle
+  // closed by another transaction's request sleeps before it notices.
+  constexpr auto kDeadlockPoll = std::chrono::milliseconds(2);
+  if (age == 0) age = txn_id;
+  std::vector<uint64_t> blockers;
+  bool in_graph = false;
+  auto give_up = [&](TCounter* counter, const char* why) {
+    if (in_graph) EraseWait(ticket);
+    remove_waiter();
+    sh.cv.notify_all();  // successors may now be grantable
+    record_wait();
+    counter->Add(1);
+    return Status::Aborted(why);
+  };
+  while (!CanGrant(st, txn_id, mode, ticket, &blockers)) {
+    in_graph = true;
+    if (DeadlockVictim(ticket, txn_id, age, blockers)) {
+      return give_up(Stats().deadlocks, "deadlock victim (waits-for cycle)");
     }
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) {
+      return give_up(Stats().timeouts, "lock timeout (deadlock victim)");
+    }
+    sh.cv.wait_until(g, std::min(deadline, now + kDeadlockPoll));
   }
+  if (in_graph) EraseWait(ticket);
   remove_waiter();
   sh.cv.notify_all();  // our dequeue may unblock same-mode successors
   record_wait();

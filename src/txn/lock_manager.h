@@ -2,8 +2,10 @@
 //
 // Used by the mixed-workload experiments (Sections 3.4 and 5.2.2) where
 // lock contention between short update transactions and long analytic
-// scans is part of the measured behaviour. Deadlocks are resolved by
-// timeout: a waiter that cannot be granted within its timeout aborts.
+// scans is part of the measured behaviour. Deadlocks are detected on a
+// waits-for graph: the youngest transaction of a cycle aborts at once, and
+// the per-request timeout stays only as a backstop (for cycles through
+// latches, which the graph cannot see).
 #pragma once
 
 #include <atomic>
@@ -45,10 +47,14 @@ class LockManager {
   LockManager() = default;
 
   /// Acquire (or upgrade) a lock for transaction `txn_id`. Blocks until
-  /// granted or `timeout_ms` elapsed; timeout returns Aborted (the caller
-  /// is the deadlock victim and should roll back).
+  /// granted, until the request closes a waits-for cycle whose youngest
+  /// member is `txn_id`, or until `timeout_ms` elapsed; the last two return
+  /// Aborted (the caller is the deadlock victim and should roll back).
+  /// `age` ranks victims — the largest age in a cycle aborts (ties: the
+  /// largest txn id); 0 means `txn_id`. A retried operation passes its
+  /// first attempt's age so it grows older instead of losing every cycle.
   Status Acquire(uint64_t txn_id, const LockResource& res, LockMode mode,
-                 int timeout_ms = 200);
+                 int timeout_ms = 200, uint64_t age = 0);
 
   /// Release one resource held by `txn_id`.
   void Release(uint64_t txn_id, const LockResource& res);
@@ -93,12 +99,34 @@ class LockManager {
                    kNumShards];
   }
 
+  /// True if the request can be granted now. Otherwise, when `blockers`
+  /// is given, it receives every transaction the request waits for.
   static bool CanGrant(const LockState& st, uint64_t txn_id, LockMode mode,
-                       uint64_t ticket);
+                       uint64_t ticket,
+                       std::vector<uint64_t>* blockers = nullptr);
+
+  /// One blocked request in the waits-for graph.
+  struct WaitEdge {
+    uint64_t txn;
+    uint64_t age;
+    std::vector<uint64_t> blockers;
+  };
+  /// Publish (or refresh) the waits-for edges of request `ticket` and
+  /// report whether it should abort: true when the edges close a cycle
+  /// whose youngest member is `txn`.
+  bool DeadlockVictim(uint64_t ticket, uint64_t txn, uint64_t age,
+                      const std::vector<uint64_t>& blockers);
+  void EraseWait(uint64_t ticket);
 
   static constexpr int kNumShards = 64;
   Shard shards_[kNumShards];
   std::atomic<uint64_t> next_ticket_{1};
+
+  /// Waits-for graph: ticket -> edges of a request blocked right now. Lock
+  /// order: a shard mutex may be held while taking graph_mu_, never the
+  /// reverse.
+  std::mutex graph_mu_;
+  std::map<uint64_t, WaitEdge> waits_;
 };
 
 }  // namespace hd

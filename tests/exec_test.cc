@@ -54,6 +54,11 @@ struct DesignCase {
   bool secondary_btree_on_col0;
 };
 
+// Print a case as its name. gtest would otherwise print the raw struct
+// bytes (a string pointer and padding), and the test name CTest derives
+// from that text would differ from build to build.
+void PrintTo(const DesignCase& dc, std::ostream* os) { *os << dc.name; }
+
 class DesignSweepTest : public ::testing::TestWithParam<DesignCase> {};
 
 TEST_P(DesignSweepTest, Q1SameAnswerEverywhere) {
