@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace hd {
 
 Trace& Trace::Global() {
@@ -47,35 +49,6 @@ void Trace::Clear() {
   std::lock_guard<std::mutex> g(mu_);
   events_.clear();
 }
-
-namespace {
-
-// Operator labels are generated from plan Describe() strings (identifier
-// characters plus []{}()=,->); escape anything JSON cares about anyway so
-// the output is valid for arbitrary names.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Trace::ToJson() const {
   std::lock_guard<std::mutex> g(mu_);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <numeric>
 #include <queue>
 #include <shared_mutex>
 #include <unordered_map>
@@ -64,7 +65,8 @@ struct BoundPred {
   int col = 0;
   int64_t lo = INT64_MIN;
   int64_t hi = INT64_MAX;
-  bool impossible = false;
+  /// An impossible predicate is an empty range; every scan treats it so.
+  bool impossible() const { return lo > hi; }
 };
 
 std::vector<BoundPred> BindPreds(const Table& t, const std::vector<Pred>& preds) {
@@ -76,10 +78,11 @@ std::vector<BoundPred> BindPreds(const Table& t, const std::vector<Pred>& preds)
     if (p.is_equality()) {
       bool found = true;
       int64_t v = t.PackBound(p.col, *p.lo, 0, &found);
-      if (!found) {
-        b.impossible = true;
-      } else {
+      if (found) {
         b.lo = b.hi = v;
+      } else {
+        b.lo = INT64_MAX;
+        b.hi = INT64_MIN;
       }
       out.push_back(b);
       continue;
@@ -95,7 +98,6 @@ std::vector<BoundPred> BindPreds(const Table& t, const std::vector<Pred>& preds)
       int64_t v = t.PackBound(p.col, *p.hi, -1, &found);
       b.hi = p.hi_incl || !found ? v : v - 1;
     }
-    if (b.lo > b.hi) b.impossible = true;
     out.push_back(b);
   }
   return out;
@@ -108,6 +110,154 @@ bool CheckPreds(const std::vector<BoundPred>& preds, const int64_t* row) {
   }
   return true;
 }
+
+bool AnyImpossible(const std::vector<BoundPred>& preds) {
+  return std::any_of(preds.begin(), preds.end(),
+                     [](const BoundPred& p) { return p.impossible(); });
+}
+
+std::vector<SegPredicate> ToSegPreds(const std::vector<BoundPred>& preds) {
+  std::vector<SegPredicate> out;
+  out.reserve(preds.size());
+  for (const auto& p : preds) out.push_back({p.col, p.lo, p.hi});
+  return out;
+}
+
+// ---------------------------------------------------------------------
+// Access paths: which structure a plan names, and how a B+ tree entry
+// becomes a row. The columnstore driver (Impl::DriveCsi) and the table
+// scan (Impl::ScanTable) build on these.
+// ---------------------------------------------------------------------
+
+/// The structure an AccessPath names on one table.
+struct ResolvedPath {
+  HeapFile* heap = nullptr;
+  BTree* tree = nullptr;
+  ColumnStoreIndex* csi = nullptr;
+  /// B+ tree key columns (the entry key adds a row-id uniquifier) and
+  /// payload columns in payload order.
+  std::vector<int> key_cols;
+  std::vector<int> payload_cols;
+};
+
+Status ResolvePath(const Table& t, const AccessPath& path, ResolvedPath* out) {
+  if (path.kind == AccessPath::Kind::kHeapScan) {
+    out->heap = t.heap();
+    return out->heap != nullptr ? Status::OK()
+                                : Status::NotFound("heap of " + t.name());
+  }
+  const SecondaryIndex* si = nullptr;
+  if (!path.index_name.empty()) {
+    si = t.FindSecondary(path.index_name);
+    if (si == nullptr) return Status::NotFound("index " + path.index_name);
+  }
+  const std::string what = si != nullptr ? "index " + path.index_name
+                                         : "primary of " + t.name();
+  if (path.is_csi()) {
+    out->csi = si != nullptr ? si->csi.get() : t.primary_csi();
+    return out->csi != nullptr ? Status::OK()
+                               : Status::NotFound("columnstore " + what);
+  }
+  if (si != nullptr) {
+    out->tree = si->btree.get();
+    out->key_cols = si->def.key_cols;
+    out->payload_cols = si->payload_cols;
+  } else {
+    // A clustered B+ tree's payload is the whole row.
+    out->tree = t.primary_btree();
+    out->key_cols = t.primary_key_cols();
+    out->payload_cols.resize(t.num_columns());
+    std::iota(out->payload_cols.begin(), out->payload_cols.end(), 0);
+  }
+  return out->tree != nullptr ? Status::OK()
+                              : Status::NotFound("B+ tree " + what);
+}
+
+/// Seek bounds from predicates on a prefix of the key columns: equalities
+/// extend the prefix, the first range ends it.
+void KeyPrefixBounds(const std::vector<int>& key_cols,
+                     const std::vector<BoundPred>& preds, Bound* lo,
+                     Bound* hi) {
+  for (int kc : key_cols) {
+    const BoundPred* bp = nullptr;
+    for (const auto& p : preds) {
+      if (p.col == kc) bp = &p;
+    }
+    if (bp == nullptr) break;
+    const bool bounded_lo = bp->lo != INT64_MIN;
+    const bool bounded_hi = bp->hi != INT64_MAX;
+    if (bounded_lo) lo->key.push_back(bp->lo);
+    if (bounded_hi) hi->key.push_back(bp->hi);
+    if (!bounded_lo || !bounded_hi || bp->lo != bp->hi) break;
+  }
+}
+
+/// Decodes B+ tree entries of one table into table-width packed rows. It
+/// fills the columns the query reads, checks the predicates on columns
+/// the entry holds, and fetches the primary row (a key lookup) only when
+/// a needed or predicate column is missing from the entry — the same
+/// coverage rule the optimizer costs.
+class EntryDecoder {
+ public:
+  EntryDecoder() = default;
+  EntryDecoder(const Table& t, const ResolvedPath& rp, std::vector<int> needed,
+               std::vector<BoundPred> preds)
+      : table_(&t),
+        kw_(static_cast<int>(rp.key_cols.size()) + 1),
+        slot_(t.num_columns(), -1),
+        needed_(std::move(needed)),
+        preds_(std::move(preds)) {
+    for (size_t k = 0; k < rp.key_cols.size(); ++k) {
+      slot_[rp.key_cols[k]] = static_cast<int>(k);
+    }
+    for (size_t pi = 0; pi < rp.payload_cols.size(); ++pi) {
+      int& s = slot_[rp.payload_cols[pi]];
+      if (s < 0) s = kw_ + static_cast<int>(pi);
+    }
+    for (int pk : t.primary_key_cols()) pk_slots_.push_back(slot_[pk]);
+    for (int c : needed_) covering_ &= slot_[c] >= 0;
+    for (const auto& p : preds_) covering_ &= slot_[p.col] >= 0;
+  }
+
+  int64_t Rid(const int64_t* key) const { return key[kw_ - 1]; }
+
+  /// Decodes one entry into `row`. `*keep` is false when a predicate
+  /// rejects the row or its primary row vanished; a failed read is
+  /// returned and must fail the scan.
+  Status Decode(const int64_t* key, const int64_t* payload, int64_t* row,
+                QueryMetrics* m, bool* keep) const {
+    auto at = [&](int s) { return s < kw_ ? key[s] : payload[s - kw_]; };
+    *keep = false;
+    for (const auto& p : preds_) {
+      const int s = slot_[p.col];
+      if (s >= 0 && (at(s) < p.lo || at(s) > p.hi)) return Status::OK();
+    }
+    if (covering_) {
+      for (int c : needed_) row[c] = at(slot_[c]);
+    } else {
+      std::vector<int64_t> pk_hint;
+      for (int s : pk_slots_) pk_hint.push_back(s >= 0 ? at(s) : 0);
+      PackedRow full;
+      Status fs = table_->FetchRow(Rid(key), pk_hint, &full, m);
+      if (fs.IsIoError()) return fs;
+      if (!fs.ok()) return Status::OK();
+      std::copy(full.begin(), full.end(), row);
+      if (!CheckPreds(preds_, row)) return Status::OK();
+    }
+    *keep = true;
+    return Status::OK();
+  }
+
+ private:
+  const Table* table_ = nullptr;
+  int kw_ = 0;
+  /// Entry slot per table column: 0..kw-1 key, kw.. payload, -1 absent.
+  std::vector<int> slot_;
+  std::vector<int> pk_slots_;
+  std::vector<int> needed_;
+  std::vector<BoundPred> preds_;
+  bool covering_ = true;
+};
 
 // ---------------------------------------------------------------------
 // Wide-row layout over base + joined dimension tables.
@@ -313,7 +463,6 @@ Value AggFinal(const AggDesc& a, const AggState& s, const Layout& L) {
 // order of magnitude cheaper per row than row-mode joins (whose per-row
 // operator interpretation overhead is charged separately).
 struct HashDim {
-  int table_idx = 0;  // layout index
   std::vector<int64_t> rows;  // flat, stride = dim ncols
   int stride = 0;
   std::vector<std::pair<int64_t, uint32_t>> build_pairs;
@@ -324,17 +473,8 @@ struct HashDim {
 };
 
 struct NlDim {
-  int table_idx = 0;
-  Table* table = nullptr;
   BTree* tree = nullptr;
-  int kw = 0;
-  /// entry slot per dim column (0..kw-1 key slots, kw.. payload), -1 absent.
-  std::vector<int> entry_slot;
-  std::vector<BoundPred> preds;
-  /// pk-hint slots within the entry (for FetchRow when a column is absent).
-  std::vector<int> pk_slots;
-  bool covering = true;  // all needed dim columns present in the entry
-  std::vector<int> needed_cols;
+  EntryDecoder dec;
 };
 
 struct JoinExec {
@@ -360,7 +500,6 @@ struct Executor::Impl {
   Layout L;
   Table* base = nullptr;
   std::vector<BoundPred> base_preds;
-  std::vector<int> needed_base_cols;  // columns the query actually touches
   std::vector<JoinExec> joins;
   std::vector<AggDesc> aggs;
   std::vector<int> group_slots;
@@ -385,7 +524,7 @@ struct Executor::Impl {
   /// Set by RunSelect when this statement's base scan routes through the
   /// cooperative shared-scan pass (ctx.scan_scheduler). The scan is then
   /// consumed by this thread alone (the sharing IS the parallelism), so
-  /// DriveBaseScan takes the scheduler branch and reported DOP is 1.
+  /// DriveCsi takes the scheduler branch and reported DOP is 1.
   bool use_shared_scan = false;
 
   /// WAL id this statement's mutations were logged under, and whether the
@@ -421,11 +560,49 @@ struct Executor::Impl {
   Status RunSelect();
   Status RunDml();
 
-  // Base scan driving `emit(rid, base_row)` with `nworkers` workers.
-  // `emit` must be thread-compatible (worker-local state captured by the
-  // caller via the worker index).
+  /// Columns of layout table `ti` read downstream of its scan: aggregate
+  /// arguments, GROUP BY, ORDER BY, the select list and join columns. DML
+  /// and SELECT * read every base column. Predicate columns are left out:
+  /// each access path evaluates its own predicates.
+  std::vector<int> ColumnsRead(int ti) const;
+
+  /// One columnstore scan: what to decode, what the scan filters, and an
+  /// optional hook that answers row group `g` without decoding it
+  /// (encoded-domain aggregate pushdown; returns false to fall back).
+  struct CsiScan {
+    const ColumnStoreIndex* csi = nullptr;
+    std::vector<int> cols;
+    std::vector<SegPredicate> preds;
+    bool need_locators = false;
+    bool shared = false;  // attach to the cooperative shared-scan pass
+    std::vector<ScanKeyFilter> key_filters;
+    std::function<bool(int worker, int g,
+                       const std::unordered_set<int64_t>& dead,
+                       QueryMetrics* wm)>
+        pushdown;
+  };
+  CsiScan MakeCsiScan(int ti, const ColumnStoreIndex* csi,
+                      const std::vector<BoundPred>& preds);
+
+  /// The columnstore driver: runs `s` over its row groups and delta store
+  /// as a shared pass, serially, or as morsels over `nworkers`, with one
+  /// delete-buffer snapshot. `make_handler(worker)` returns the batch
+  /// handler for one worker; a handler returning false stops the scan.
+  using BatchFn = std::function<bool(const ColumnBatch&)>;
+  Status DriveCsi(const CsiScan& s, int nworkers, QueryMetrics* m,
+                  const std::string& label,
+                  const std::function<BatchFn(int worker)>& make_handler);
+
+  /// Scans layout table `ti` through `path`, driving `emit(worker, rid,
+  /// row)` with `nworkers` workers for every row passing `preds`. Rows
+  /// carry the ColumnsRead(ti) columns; other slots are unspecified.
+  /// `emit` must be thread-compatible (worker-local state indexed by the
+  /// worker) and returns false to stop.
   using EmitFn = std::function<bool(int worker, int64_t rid, const int64_t*)>;
-  Status DriveBaseScan(int nworkers, const EmitFn& emit);
+  Status ScanTable(int ti, const AccessPath& path,
+                   const std::vector<BoundPred>& preds, int nworkers,
+                   QueryMetrics* m, const std::string& label,
+                   const EmitFn& emit);
 
   // Schedule `nmorsels` morsels on the shared process-wide pool with at
   // most `nworkers` concurrent participants. `fn(slot, morsel, wm)` runs
@@ -489,9 +666,6 @@ struct Executor::Impl {
     return side_err;
   }
 
-  // CSI batch scan fast path plumbing.
-  bool CsiFastPathEligible() const;
-
   Status AcquireReadLocks();
   Status LockRowX(int64_t rid);
   void PayVersionCost(int64_t rid);
@@ -509,38 +683,6 @@ Status Executor::Impl::Setup() {
   L.Build(base, dims);
   base_preds = BindPreds(*base, q.base.preds);
   table_hash = LockManager::HashTable(q.base.table);
-
-  // Base columns the query touches (DML and SELECT * need everything).
-  {
-    std::vector<char> need(base->num_columns(), 0);
-    if (q.kind != Query::Kind::kSelect ||
-        (q.aggs.empty() && q.select_cols.empty())) {
-      std::fill(need.begin(), need.end(), 1);
-    } else {
-      for (const auto& a : q.aggs) {
-        if (a.arg) {
-          std::vector<ColRef> refs;
-          CollectExprCols(*a.arg, &refs);
-          for (const auto& r : refs) {
-            if (r.table == 0) need[r.col] = 1;
-          }
-        }
-      }
-      auto mark = [&](const std::vector<ColRef>& refs) {
-        for (const auto& r : refs) {
-          if (r.table == 0) need[r.col] = 1;
-        }
-      };
-      mark(q.group_by);
-      mark(q.order_by);
-      mark(q.select_cols);
-      for (const auto& j : q.joins) need[j.base_col] = 1;
-      for (const auto& p : q.base.preds) need[p.col] = 1;
-    }
-    for (int c = 0; c < base->num_columns(); ++c) {
-      if (need[c]) needed_base_cols.push_back(c);
-    }
-  }
 
   for (const auto& a : q.aggs) {
     AggDesc d;
@@ -572,338 +714,118 @@ Status Executor::Impl::Setup() {
   return Status::OK();
 }
 
-// Scan one dimension with its own access path, invoking fn(dim_row).
-static Status ScanDim(Table* dim, const AccessPath& path,
-                      const std::vector<BoundPred>& preds,
-                      const std::function<void(const int64_t*)>& fn,
-                      QueryMetrics* m, double row_overhead_ns) {
-  const int ncols = dim->num_columns();
-  for (const auto& p : preds) {
-    if (p.impossible) return Status::OK();
+std::vector<int> Executor::Impl::ColumnsRead(int ti) const {
+  const bool all = ti == 0 && (q.kind != Query::Kind::kSelect ||
+                               (q.aggs.empty() && q.select_cols.empty()));
+  std::vector<char> need(L.tables[ti]->num_columns(), all ? 1 : 0);
+  std::vector<ColRef> refs;
+  for (const auto& a : q.aggs) {
+    if (a.arg) CollectExprCols(*a.arg, &refs);
   }
-  switch (path.kind) {
-    case AccessPath::Kind::kHeapScan: {
-      uint64_t seen = 0;
-      Status hs = dim->heap()->Scan(
-          [&](uint64_t, const int64_t* row) {
-            ++seen;
-            if (CheckPreds(preds, row)) fn(row);
-            return true;
-          },
-          m);
-      if (m != nullptr) {
-        m->cpu_ns += static_cast<uint64_t>(seen * row_overhead_ns);
-      }
-      return hs;
-    }
-    case AccessPath::Kind::kCsiScan: {
-      ColumnStoreIndex* csi = path.index_name.empty()
-                                  ? dim->primary_csi()
-                                  : dim->FindSecondary(path.index_name)->csi.get();
-      std::vector<int> all(ncols);
-      for (int c = 0; c < ncols; ++c) all[c] = c;
-      std::vector<SegPredicate> sp;
-      for (const auto& p : preds) sp.push_back({p.col, p.lo, p.hi});
-      PackedRow row(ncols);
-      auto emit = [&](const ColumnBatch& b) {
-        for (int i = 0; i < b.count; ++i) {
-          for (int c = 0; c < ncols; ++c) row[c] = b.cols[c][i];
-          fn(row.data());
-        }
-        return true;
-      };
-      HD_RETURN_IF_ERROR(
-          csi->ScanGroups(0, csi->num_row_groups(), all, sp, emit, m));
-      return csi->ScanDelta(all, sp, emit, m);
-    }
-    case AccessPath::Kind::kBTreeRange:
-    case AccessPath::Kind::kBTreeFullScan: {
-      BTree* tree;
-      std::vector<int> key_cols;
-      std::vector<int> payload_cols;
-      bool payload_full = false;
-      if (path.index_name.empty()) {
-        tree = dim->primary_btree();
-        key_cols = dim->primary_key_cols();
-        payload_full = true;
-      } else {
-        SecondaryIndex* si = dim->FindSecondary(path.index_name);
-        if (si == nullptr || !si->btree) {
-          return Status::NotFound("index " + path.index_name);
-        }
-        tree = si->btree.get();
-        key_cols = si->def.key_cols;
-        payload_cols = si->payload_cols;
-      }
-      if (tree == nullptr) return Status::Internal("no btree for dim");
-      const int kw = static_cast<int>(key_cols.size()) + 1;
-      // Build bounds from preds on leading key columns.
-      Bound lo, hi;
-      for (int k = 0; k < static_cast<int>(key_cols.size()); ++k) {
-        const BoundPred* bp = nullptr;
-        for (const auto& p : preds) {
-          if (p.col == key_cols[k]) bp = &p;
-        }
-        if (bp == nullptr) break;
-        lo.key.push_back(bp->lo);
-        hi.key.push_back(bp->hi);
-        if (bp->lo != bp->hi) break;
-      }
-      PackedRow row(ncols);
-      std::vector<char> have(ncols, 0);
-      uint64_t seen = 0;
-      Status fetch_err;
-      Status ts = tree->Scan(lo, hi, [&](const int64_t* key, const int64_t* payload) {
-        ++seen;
-        std::fill(have.begin(), have.end(), 0);
-        for (size_t k = 0; k < key_cols.size(); ++k) {
-          row[key_cols[k]] = key[k];
-          have[key_cols[k]] = 1;
-        }
-        if (payload_full) {
-          for (int c = 0; c < ncols; ++c) row[c] = payload[c];
-        } else {
-          for (size_t pi = 0; pi < payload_cols.size(); ++pi) {
-            row[payload_cols[pi]] = payload[pi];
-            have[payload_cols[pi]] = 1;
-          }
-          // Non-covering: fetch the full row (key lookup).
-          bool missing = false;
-          for (int c = 0; c < ncols && !missing; ++c) missing = !have[c];
-          if (missing) {
-            std::vector<int64_t> pk_hint;
-            for (int pk : dim->primary_key_cols()) pk_hint.push_back(row[pk]);
-            PackedRow full;
-            Status fs = dim->FetchRow(key[kw - 1], pk_hint, &full, m);
-            if (fs.ok()) {
-              row = full;
-            } else if (fs.IsIoError()) {
-              // A failed read must fail the scan; a vanished row is skipped.
-              fetch_err = std::move(fs);
-              return false;
-            }
-          }
-        }
-        if (CheckPreds(preds, row.data())) fn(row.data());
-        return true;
-      }, m);
-      if (m != nullptr) {
-        m->cpu_ns += static_cast<uint64_t>(seen * row_overhead_ns);
-      }
-      if (!fetch_err.ok()) return fetch_err;
-      return ts;
-    }
+  refs.insert(refs.end(), q.group_by.begin(), q.group_by.end());
+  refs.insert(refs.end(), q.order_by.begin(), q.order_by.end());
+  refs.insert(refs.end(), q.select_cols.begin(), q.select_cols.end());
+  for (size_t j = 0; j < q.joins.size(); ++j) {
+    refs.push_back(ColRef{0, q.joins[j].base_col});
+    refs.push_back(ColRef{static_cast<int>(j) + 1, q.joins[j].dim_col});
   }
-  return Status::Internal("unreachable");
+  for (const auto& r : refs) {
+    if (r.table == ti) need[r.col] = 1;
+  }
+  std::vector<int> out;
+  for (size_t c = 0; c < need.size(); ++c) {
+    if (need[c]) out.push_back(static_cast<int>(c));
+  }
+  return out;
 }
 
 Status Executor::Impl::PrepareJoins() {
   const int driving = DrivingStepIndex();
   for (size_t s = 0; s < plan.joins.size(); ++s) {
     const JoinStep& step = plan.joins[s];
-    // Build-side work (dim scan, hash build, NL setup) is attributed to
-    // this join step's operator block.
-    QueryMetrics* m = OpM(opx.join[s]);
-    Timer tstep;
+    JoinExec je;
+    je.method = step.method;
     if (static_cast<int>(s) == driving) {
       // The driving dimension is scanned as the outer side; keep a
       // placeholder so pipeline step indices stay aligned.
-      JoinExec je;
       je.method = JoinStep::Method::kHash;
       je.base_join_slot = -1;
       joins.push_back(std::move(je));
       continue;
     }
+    // Build-side work (dim scan, hash build, NL setup) is attributed to
+    // this join step's operator block.
+    QueryMetrics* m = OpM(opx.join[s]);
     const JoinClause& jc = q.joins[step.join_idx];
-    Table* dim = L.tables[step.join_idx + 1];
-    JoinExec je;
-    je.method = step.method;
+    const int ti = step.join_idx + 1;
+    Table* dim = L.tables[ti];
     je.base_join_slot = L.SlotOf(ColRef{0, jc.base_col});
-    je.dim_offset = L.offset[step.join_idx + 1];
+    je.dim_offset = L.offset[ti];
     std::vector<BoundPred> dim_preds = BindPreds(*dim, jc.dim.preds);
-    if (step.method == JoinStep::Method::kHash) {
-      je.hash.table_idx = step.join_idx + 1;
-      je.hash.stride = dim->num_columns();
-      // Morsel-parallel build: a CSI dimension with multiple row groups is
-      // scanned over the morsel pool into per-worker partitions, which are
-      // then stitched (index offset fix-up) into the single flat build
-      // array the counting-sort Build consumes. MorselLoop merges the
-      // per-slot metrics into `m`, so build time stays attributed to this
-      // join's operator block exactly as in the serial path.
-      ColumnStoreIndex* dcsi = nullptr;
-      if (step.dim_path.kind == AccessPath::Kind::kCsiScan) {
-        if (step.dim_path.index_name.empty()) {
-          dcsi = dim->primary_csi();
-        } else {
-          SecondaryIndex* si = dim->FindSecondary(step.dim_path.index_name);
-          dcsi = si != nullptr && si->csi ? si->csi.get() : nullptr;
-        }
-      }
-      const int bw = dop();
-      bool impossible = false;
-      for (const auto& p : dim_preds) impossible |= p.impossible;
-      if (!impossible && dcsi != nullptr && bw > 1 &&
-          dcsi->num_row_groups() > 1) {
-        // Decode only the columns the query touches on this dimension
-        // (join column, dim predicates, downstream references); the flat
-        // rows' other slots stay zero and are never read.
-        const int ncols = dim->num_columns();
-        std::vector<char> needed(ncols, 0);
-        needed[jc.dim_col] = 1;
-        for (const auto& p : dim_preds) needed[p.col] = 1;
-        std::vector<ColRef> refs;
-        for (const auto& a : q.aggs) {
-          if (a.arg) CollectExprCols(*a.arg, &refs);
-        }
-        for (const auto& g : q.group_by) refs.push_back(g);
-        for (const auto& o : q.order_by) refs.push_back(o);
-        for (const auto& sc : q.select_cols) refs.push_back(sc);
-        for (const auto& r : refs) {
-          if (r.table == step.join_idx + 1) needed[r.col] = 1;
-        }
-        std::vector<int> dcols;
-        for (int c = 0; c < ncols; ++c) {
-          if (needed[c]) dcols.push_back(c);
-        }
-        std::vector<SegPredicate> sp;
-        for (const auto& p : dim_preds) sp.push_back({p.col, p.lo, p.hi});
-        struct BuildPart {
-          std::vector<int64_t> rows;
-          std::vector<std::pair<int64_t, uint32_t>> pairs;
-        };
-        std::vector<BuildPart> parts(bw);
-        std::unordered_set<int64_t> dead;
-        HD_RETURN_IF_ERROR(dcsi->SnapshotDeleteBuffer(&dead, m));
-        const int ngroups = dcsi->num_row_groups();
-        const int stride = je.hash.stride;
-        HD_RETURN_IF_ERROR(MorselLoop(
-            static_cast<uint64_t>(ngroups) + 1, bw, m,
-            ops[opx.join[s]].name + "[build]",
-            [&](int slot, uint64_t mi, QueryMetrics* wm) -> Status {
-              BuildPart& pt = parts[slot];
-              auto handler = [&](const ColumnBatch& b) {
-                for (int i = 0; i < b.count; ++i) {
-                  const size_t off = pt.rows.size();
-                  pt.rows.resize(off + stride, 0);
-                  for (size_t ci = 0; ci < dcols.size(); ++ci) {
-                    pt.rows[off + dcols[ci]] = b.cols[ci][i];
-                  }
-                  pt.pairs.emplace_back(pt.rows[off + jc.dim_col],
-                                        static_cast<uint32_t>(off / stride));
-                }
-                return true;
-              };
-              if (mi < static_cast<uint64_t>(ngroups)) {
-                const int g = static_cast<int>(mi);
-                return dcsi->ScanGroups(g, g + 1, dcols, sp, handler, wm,
-                                        /*need_locators=*/false, &dead);
-              }
-              return dcsi->ScanDelta(dcols, sp, handler, wm,
-                                     /*need_locators=*/false);
-            }));
-        for (BuildPart& pt : parts) {
-          const uint32_t off =
-              static_cast<uint32_t>(je.hash.rows.size() / stride);
-          je.hash.rows.insert(je.hash.rows.end(), pt.rows.begin(),
-                              pt.rows.end());
-          for (const auto& [k, v] : pt.pairs) {
-            je.hash.build_pairs.emplace_back(k, v + off);
-          }
-        }
-      } else if (!impossible) {
-        HD_RETURN_IF_ERROR(ScanDim(
-            dim, step.dim_path, dim_preds,
-            [&](const int64_t* row) {
-              const uint32_t idx =
-                  static_cast<uint32_t>(je.hash.rows.size() / je.hash.stride);
-              je.hash.rows.insert(je.hash.rows.end(), row,
-                                  row + je.hash.stride);
-              je.hash.build_pairs.emplace_back(row[jc.dim_col], idx);
-            },
-            m, ctx.serial_row_overhead_ns));
-      }
-      // Deterministic kill seam: fires after the build-side scan (latches
-      // and any admission pass already held) so tests can prove an error
-      // here unwinds without leaking either.
-      HD_RETURN_IF_ERROR(EvalFailPoint("exec.join_build", m));
-      je.hash.map.Build(je.hash.build_pairs);
-      // Build the pushdown Bloom filter from the build keys before they
-      // are discarded; an empty build side leaves the filter all-zero
-      // (MayContain always false), which is exactly the join's semantics.
-      je.hash.bloom.Init(je.hash.build_pairs.size());
-      for (const auto& [k, v] : je.hash.build_pairs) {
-        (void)v;
-        je.hash.bloom.Insert(k);
-      }
-      je.hash.build_pairs.clear();
-      je.hash.build_pairs.shrink_to_fit();
-    } else {
-      je.nl.table_idx = step.join_idx + 1;
-      je.nl.table = dim;
-      je.nl.preds = dim_preds;
-      const int ncols = dim->num_columns();
-      std::vector<int> key_cols;
-      std::vector<int> payload_cols;
-      bool payload_full = false;
-      if (step.dim_path.index_name.empty()) {
-        je.nl.tree = dim->primary_btree();
-        key_cols = dim->primary_key_cols();
-        payload_full = true;
-      } else {
-        SecondaryIndex* si = dim->FindSecondary(step.dim_path.index_name);
-        if (si == nullptr || !si->btree) {
-          return Status::NotFound("NL index " + step.dim_path.index_name);
-        }
-        je.nl.tree = si->btree.get();
-        key_cols = si->def.key_cols;
-        payload_cols = si->payload_cols;
-      }
-      if (je.nl.tree == nullptr || key_cols.empty() ||
-          key_cols[0] != jc.dim_col) {
+    ResolvedPath rp;
+    HD_RETURN_IF_ERROR(ResolvePath(*dim, step.dim_path, &rp));
+    if (step.method == JoinStep::Method::kIndexNL) {
+      if (rp.tree == nullptr || rp.key_cols.empty() ||
+          rp.key_cols[0] != jc.dim_col) {
         return Status::InvalidArgument(
             "IndexNL join requires a B+ tree leading on the join column");
       }
-      je.nl.kw = static_cast<int>(key_cols.size()) + 1;
-      je.nl.entry_slot.assign(ncols, -1);
-      for (size_t k = 0; k < key_cols.size(); ++k) {
-        je.nl.entry_slot[key_cols[k]] = static_cast<int>(k);
-      }
-      if (payload_full) {
-        for (int c = 0; c < ncols; ++c) {
-          if (je.nl.entry_slot[c] < 0) je.nl.entry_slot[c] = je.nl.kw + c;
-        }
-      } else {
-        for (size_t pi = 0; pi < payload_cols.size(); ++pi) {
-          if (je.nl.entry_slot[payload_cols[pi]] < 0) {
-            je.nl.entry_slot[payload_cols[pi]] =
-                je.nl.kw + static_cast<int>(pi);
-          }
-        }
-      }
-      for (int pk : dim->primary_key_cols()) {
-        je.nl.pk_slots.push_back(je.nl.entry_slot[pk]);
-      }
-      // Needed dim columns: preds + any column referenced downstream.
-      std::vector<char> needed(ncols, 0);
-      for (const auto& p : dim_preds) needed[p.col] = 1;
-      std::vector<ColRef> refs;
-      for (const auto& a : q.aggs) {
-        if (a.arg) CollectExprCols(*a.arg, &refs);
-      }
-      for (const auto& g : q.group_by) refs.push_back(g);
-      for (const auto& o : q.order_by) refs.push_back(o);
-      for (const auto& sc : q.select_cols) refs.push_back(sc);
-      for (const auto& r : refs) {
-        if (r.table == step.join_idx + 1) needed[r.col] = 1;
-      }
-      for (int c = 0; c < ncols; ++c) {
-        if (needed[c]) {
-          je.nl.needed_cols.push_back(c);
-          if (je.nl.entry_slot[c] < 0) je.nl.covering = false;
-        }
-      }
+      je.nl.tree = rp.tree;
+      je.nl.dec = EntryDecoder(*dim, rp, ColumnsRead(ti), std::move(dim_preds));
+      joins.push_back(std::move(je));
+      continue;
     }
-    m->cpu_ns += static_cast<uint64_t>(tstep.ElapsedMs() * 1e6);
+    // Hash build. A CSI dimension with several row groups is scanned over
+    // the morsel pool into per-worker partitions, which are then stitched
+    // (index offset fix-up) into the single flat build array the
+    // counting-sort Build consumes.
+    const int stride = dim->num_columns();
+    const int bw =
+        rp.csi != nullptr && rp.csi->num_row_groups() > 1 ? dop() : 1;
+    struct BuildPart {
+      std::vector<int64_t> rows;
+      std::vector<std::pair<int64_t, uint32_t>> pairs;
+    };
+    std::vector<BuildPart> parts(bw);
+    HD_RETURN_IF_ERROR(ScanTable(
+        ti, step.dim_path, dim_preds, bw, m, ops[opx.join[s]].name + "[build]",
+        [&](int w, int64_t, const int64_t* row) {
+          BuildPart& pt = parts[w];
+          pt.pairs.emplace_back(row[jc.dim_col],
+                                static_cast<uint32_t>(pt.rows.size() / stride));
+          pt.rows.insert(pt.rows.end(), row, row + stride);
+          return true;
+        }));
+    HD_RETURN_IF_ERROR(TakeSideError());
+    // Deterministic kill seam: fires after the build-side scan (latches
+    // and any admission pass already held) so tests can prove an error
+    // here unwinds without leaking either.
+    HD_RETURN_IF_ERROR(EvalFailPoint("exec.join_build", m));
+    Timer tbuild;
+    HashDim& hd = je.hash;
+    hd.stride = stride;
+    for (BuildPart& pt : parts) {
+      const uint32_t off = static_cast<uint32_t>(hd.rows.size() / stride);
+      if (off == 0) {  // the first non-empty partition moves in
+        hd.rows = std::move(pt.rows);
+        hd.build_pairs = std::move(pt.pairs);
+        continue;
+      }
+      hd.rows.insert(hd.rows.end(), pt.rows.begin(), pt.rows.end());
+      for (const auto& [k, v] : pt.pairs) hd.build_pairs.emplace_back(k, v + off);
+    }
+    hd.map.Build(hd.build_pairs);
+    // Build the pushdown Bloom filter from the build keys before they
+    // are discarded; an empty build side leaves the filter all-zero
+    // (MayContain always false), which is exactly the join's semantics.
+    hd.bloom.Init(hd.build_pairs.size());
+    for (const auto& [k, v] : hd.build_pairs) {
+      (void)v;
+      hd.bloom.Insert(k);
+    }
+    hd.build_pairs.clear();
+    hd.build_pairs.shrink_to_fit();
+    m->cpu_ns += static_cast<uint64_t>(tbuild.ElapsedMs() * 1e6);
     joins.push_back(std::move(je));
   }
   return Status::OK();
@@ -935,165 +857,168 @@ void Executor::Impl::PayVersionCost(int64_t rid) {
 }
 
 // ---------------------------------------------------------------------
-// Base scan driver.
+// Table scans: every heap, B+ tree and columnstore scan runs here.
 // ---------------------------------------------------------------------
 
-Status Executor::Impl::DriveBaseScan(int nworkers, const EmitFn& emit) {
-  for (const auto& p : base_preds) {
-    if (p.impossible) return Status::OK();
+Executor::Impl::CsiScan Executor::Impl::MakeCsiScan(
+    int ti, const ColumnStoreIndex* csi, const std::vector<BoundPred>& preds) {
+  CsiScan s;
+  s.csi = csi;
+  s.cols = ColumnsRead(ti);
+  s.preds = ToSegPreds(preds);
+  if (ti != 0) return s;
+  // Locators (row ids) are only needed when a transaction wants per-row
+  // locks/versions or DML collects row references.
+  s.need_locators = ctx.txn != nullptr || q.kind != Query::Kind::kSelect;
+  s.shared = use_shared_scan;
+  // Bloom pushdown: every hash join's build-side filter runs inside the
+  // scan on the decoded join-key vector, so rows that cannot join are
+  // dropped before the other columns are gathered. Checks are charged to
+  // the owning join's operator block.
+  for (size_t j = 0; j < joins.size(); ++j) {
+    const JoinExec& je = joins[j];
+    if (je.method == JoinStep::Method::kHash && !je.hash.bloom.empty()) {
+      s.key_filters.push_back(
+          ScanKeyFilter{je.base_join_slot, &je.hash.bloom, OpM(opx.join[j])});
+    }
   }
-  QueryMetrics* m = ScanM();
-  const std::string& scan_label = ops[opx.scan].name;
+  return s;
+}
 
-  // Resolve residual predicates per path.
-  switch (plan.base.kind) {
+Status Executor::Impl::DriveCsi(
+    const CsiScan& s, int nworkers, QueryMetrics* m, const std::string& label,
+    const std::function<BatchFn(int worker)>& make_handler) {
+  for (const auto& p : s.preds) {
+    if (p.lo > p.hi) return Status::OK();  // impossible predicate
+  }
+  const ColumnStoreIndex* csi = s.csi;
+  const std::vector<ScanKeyFilter>* kfp =
+      s.key_filters.empty() ? nullptr : &s.key_filters;
+  // The shared pass snapshots deletes itself; private scans take one
+  // snapshot shared by all their row groups.
+  std::unordered_set<int64_t> dead;
+  if (!s.shared) HD_RETURN_IF_ERROR(csi->SnapshotDeleteBuffer(&dead, m));
+  const int ngroups = csi->num_row_groups();
+  std::atomic<bool> stop{false};
+  auto stopping = [&stop](BatchFn inner) -> BatchFn {
+    return [&stop, inner = std::move(inner)](const ColumnBatch& b) {
+      if (inner(b)) return true;
+      stop.store(true, std::memory_order_relaxed);
+      return false;
+    };
+  };
+  // Row groups [gb, ge) for worker w; gb < 0 selects the delta store
+  // (row-mode, cheap, never shared).
+  auto scan = [&](int w, int gb, int ge, QueryMetrics* wm) -> Status {
+    if (stop.load(std::memory_order_relaxed)) return Status::OK();
+    const BatchFn fn = stopping(make_handler(w));
+    if (gb < 0) {
+      return csi->ScanDelta(s.cols, s.preds, fn, wm, s.need_locators, kfp);
+    }
+    if (!s.pushdown) {
+      return csi->ScanGroups(gb, ge, s.cols, s.preds, fn, wm, s.need_locators,
+                             &dead, kfp);
+    }
+    for (int g = gb; g < ge; ++g) {
+      if (s.pushdown(w, g, dead, wm)) continue;
+      HD_RETURN_IF_ERROR(csi->ScanGroups(g, g + 1, s.cols, s.preds, fn, wm,
+                                         s.need_locators, &dead, kfp));
+    }
+    return Status::OK();
+  };
+  if (nworkers > 1 && !s.shared) {
+    // Morsel = one row group, plus a last one for the delta store.
+    return MorselLoop(
+        static_cast<uint64_t>(ngroups) + 1, nworkers, m, label,
+        [&](int slot, uint64_t mi, QueryMetrics* wm) {
+          const int g = mi < static_cast<uint64_t>(ngroups)
+                            ? static_cast<int>(mi)
+                            : -1;
+          return scan(slot, g, g + 1, wm);
+        });
+  }
+  Timer t;
+  Status st = s.shared ? ctx.scan_scheduler->Scan(csi, s.cols, s.preds,
+                                                  stopping(make_handler(0)), m,
+                                                  s.need_locators)
+                       : scan(0, 0, ngroups, m);
+  if (st.ok()) st = scan(0, -1, 0, m);
+  m->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
+  return st;
+}
+
+Status Executor::Impl::ScanTable(int ti, const AccessPath& path,
+                                 const std::vector<BoundPred>& preds,
+                                 int nworkers, QueryMetrics* m,
+                                 const std::string& label,
+                                 const EmitFn& emit) {
+  if (AnyImpossible(preds)) return Status::OK();
+  const Table& t = *L.tables[ti];
+  const int ncols = t.num_columns();
+  ResolvedPath rp;
+  HD_RETURN_IF_ERROR(ResolvePath(t, path, &rp));
+  switch (path.kind) {
     case AccessPath::Kind::kHeapScan: {
-      HeapFile* h = base->heap();
-      if (h == nullptr) return Status::Internal("no heap primary");
-      const uint64_t n = h->num_rows();
+      // Morsel = a fixed-size page range; the pool's participants drain
+      // and steal morsels instead of owning one static range each.
+      constexpr uint64_t kHeapMorselRows = 65536;
+      const uint64_t n = rp.heap->num_rows();
       const double row_oh = nworkers > 1 ? ctx.parallel_row_overhead_ns
                                          : ctx.serial_row_overhead_ns;
-      auto worker = [&](int w, uint64_t lo, uint64_t hi,
-                        QueryMetrics* wm) -> Status {
+      std::atomic<bool> stop{false};
+      auto scan_rows = [&](int w, uint64_t lo, uint64_t hi,
+                           QueryMetrics* wm) -> Status {
         uint64_t seen = 0;
-        Status ss = h->ScanRange(lo, hi, [&](uint64_t rid, const int64_t* row) {
-          ++seen;
-          if (!CheckPreds(base_preds, row)) return true;
-          return emit(w, static_cast<int64_t>(rid), row);
-        }, wm);
+        Status ss = rp.heap->ScanRange(
+            lo, hi,
+            [&](uint64_t rid, const int64_t* row) {
+              ++seen;
+              if (!CheckPreds(preds, row)) return true;
+              if (emit(w, static_cast<int64_t>(rid), row)) return true;
+              stop.store(true, std::memory_order_relaxed);
+              return false;
+            },
+            wm);
         wm->cpu_ns += static_cast<uint64_t>(seen * row_oh);
         return ss;
       };
       if (nworkers <= 1) {
-        Timer t;
-        Status ss = worker(0, 0, n, m);
-        m->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
+        Timer tm;
+        Status ss = scan_rows(0, 0, n, m);
+        m->cpu_ns += static_cast<uint64_t>(tm.ElapsedMs() * 1e6);
         return ss;
       }
-      // Morsel = a fixed-size page range; the pool's participants drain
-      // and steal morsels instead of owning one static range each.
-      constexpr uint64_t kHeapMorselRows = 65536;
-      const uint64_t nmorsels = (n + kHeapMorselRows - 1) / kHeapMorselRows;
-      std::atomic<bool> stop{false};
       return MorselLoop(
-          nmorsels, nworkers, m, scan_label,
+          (n + kHeapMorselRows - 1) / kHeapMorselRows, nworkers, m, label,
           [&](int slot, uint64_t mi, QueryMetrics* wm) -> Status {
             if (stop.load(std::memory_order_relaxed)) return Status::OK();
-            uint64_t seen = 0;
             const uint64_t lo = mi * kHeapMorselRows;
-            const uint64_t hi = std::min(n, lo + kHeapMorselRows);
-            Status ss = h->ScanRange(lo, hi,
-                                     [&](uint64_t rid, const int64_t* row) {
-                                       ++seen;
-                                       if (!CheckPreds(base_preds, row)) {
-                                         return true;
-                                       }
-                                       if (!emit(slot,
-                                                 static_cast<int64_t>(rid),
-                                                 row)) {
-                                         stop.store(true,
-                                                    std::memory_order_relaxed);
-                                         return false;
-                                       }
-                                       return true;
-                                     },
-                                     wm);
-            wm->cpu_ns += static_cast<uint64_t>(seen * row_oh);
-            return ss;
+            return scan_rows(slot, lo, std::min(n, lo + kHeapMorselRows), wm);
           });
     }
     case AccessPath::Kind::kBTreeRange:
     case AccessPath::Kind::kBTreeFullScan: {
-      BTree* tree;
-      std::vector<int> key_cols;
-      std::vector<int> payload_cols;
-      bool payload_full = false;
-      if (plan.base.index_name.empty()) {
-        tree = base->primary_btree();
-        key_cols = base->primary_key_cols();
-        payload_full = true;
-      } else {
-        SecondaryIndex* si = base->FindSecondary(plan.base.index_name);
-        if (si == nullptr || !si->btree) {
-          return Status::NotFound("index " + plan.base.index_name);
-        }
-        tree = si->btree.get();
-        key_cols = si->def.key_cols;
-        payload_cols = si->payload_cols;
-      }
-      if (tree == nullptr) return Status::Internal("no btree primary");
-      const int kw = static_cast<int>(key_cols.size()) + 1;
-      const int ncols = base->num_columns();
       Bound lo, hi;
-      if (plan.base.kind == AccessPath::Kind::kBTreeRange) {
-        for (int k = 0; k < static_cast<int>(key_cols.size()); ++k) {
-          const BoundPred* bp = nullptr;
-          for (const auto& p : base_preds) {
-            if (p.col == key_cols[k]) bp = &p;
-          }
-          if (bp == nullptr) break;
-          bool bounded_lo = bp->lo != INT64_MIN;
-          bool bounded_hi = bp->hi != INT64_MAX;
-          if (bounded_lo) lo.key.push_back(bp->lo);
-          if (bounded_hi) hi.key.push_back(bp->hi);
-          if (!bounded_lo || !bounded_hi || bp->lo != bp->hi) break;
-        }
-      }
-      // Per-entry handler shared by serial/parallel variants.
-      std::vector<char> have_template(ncols, 0);
-      auto make_handler = [&](int w, PackedRow* rowbuf, QueryMetrics* wm,
-                              uint64_t* seen) {
-        return [&, w, rowbuf, wm, seen](const int64_t* key,
-                                        const int64_t* payload) {
+      KeyPrefixBounds(rp.key_cols, preds, &lo, &hi);
+      const EntryDecoder dec(t, rp, ColumnsRead(ti), preds);
+      std::vector<PackedRow> rows(nworkers, PackedRow(ncols));
+      auto make_handler = [&](int w, QueryMetrics* wm, uint64_t* seen) {
+        return [&, w, wm, seen](const int64_t* key, const int64_t* payload) {
           ++*seen;
-          PackedRow& row = *rowbuf;
-          if (payload_full) {
-            std::copy(payload, payload + ncols, row.begin());
-          } else {
-            std::vector<char> have = have_template;
-            for (size_t k = 0; k < key_cols.size(); ++k) {
-              row[key_cols[k]] = key[k];
-              have[key_cols[k]] = 1;
-            }
-            for (size_t pi = 0; pi < payload_cols.size(); ++pi) {
-              row[payload_cols[pi]] = payload[pi];
-              have[payload_cols[pi]] = 1;
-            }
-            // Check covered predicates before paying for a lookup.
-            for (const auto& p : base_preds) {
-              if (have[p.col]) {
-                const int64_t v = row[p.col];
-                if (v < p.lo || v > p.hi) return true;
-              }
-            }
-            bool missing = false;
-            for (int c = 0; c < ncols; ++c) {
-              if (!have[c]) { missing = true; break; }
-            }
-            if (missing) {
-              std::vector<int64_t> pk_hint;
-              for (int pk : base->primary_key_cols()) pk_hint.push_back(row[pk]);
-              PackedRow full;
-              Status fs = base->FetchRow(key[kw - 1], pk_hint, &full, wm);
-              if (!fs.ok()) {
-                // A failed read fails the scan; a vanished row is skipped.
-                if (!fs.IsIoError()) return true;
-                RecordSideError(std::move(fs));
-                return false;
-              }
-              row = full;
-            }
+          bool keep = false;
+          Status ds = dec.Decode(key, payload, rows[w].data(), wm, &keep);
+          if (!ds.ok()) {
+            RecordSideError(std::move(ds));
+            return false;
           }
-          if (!CheckPreds(base_preds, row.data())) return true;
-          return emit(w, key[kw - 1], row.data());
+          return !keep || emit(w, dec.Rid(key), rows[w].data());
         };
       };
       if (nworkers <= 1) {
-        Timer t;
-        PackedRow rowbuf(ncols);
+        Timer tm;
         uint64_t seen = 0;
-        Status ss = tree->Scan(lo, hi, make_handler(0, &rowbuf, m, &seen), m);
-        m->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6) +
+        Status ss = rp.tree->Scan(lo, hi, make_handler(0, m, &seen), m);
+        m->cpu_ns += static_cast<uint64_t>(tm.ElapsedMs() * 1e6) +
                      static_cast<uint64_t>(seen * ctx.serial_row_overhead_ns);
         return ss;
       }
@@ -1101,23 +1026,19 @@ Status Executor::Impl::DriveBaseScan(int nworkers, const EmitFn& emit) {
       // the initial split keeps stealing granular without per-leaf
       // scheduling overhead).
       std::vector<LeafHandle> leaves;
-      HD_RETURN_IF_ERROR(tree->CollectLeaves(lo, hi, m, &leaves));
+      HD_RETURN_IF_ERROR(rp.tree->CollectLeaves(lo, hi, m, &leaves));
       const uint64_t nleaves = leaves.size();
       const uint64_t chunk = std::max<uint64_t>(
           1, nleaves / (16ull * static_cast<uint64_t>(nworkers)));
-      const uint64_t nmorsels = (nleaves + chunk - 1) / chunk;
-      std::vector<PackedRow> rowbufs(nworkers, PackedRow(ncols));
       return MorselLoop(
-          nmorsels, nworkers, m, scan_label,
+          (nleaves + chunk - 1) / chunk, nworkers, m, label,
           [&](int slot, uint64_t mi, QueryMetrics* wm) -> Status {
             uint64_t seen = 0;
-            auto handler = make_handler(slot, &rowbufs[slot], wm, &seen);
-            const size_t b = static_cast<size_t>(mi * chunk);
-            const size_t e =
-                std::min<size_t>(nleaves, b + static_cast<size_t>(chunk));
+            auto handler = make_handler(slot, wm, &seen);
+            const uint64_t e = std::min(nleaves, (mi + 1) * chunk);
             Status ss;
-            for (size_t li = b; li < e && ss.ok(); ++li) {
-              ss = tree->ScanLeaf(leaves[li], lo, hi, handler, wm);
+            for (uint64_t li = mi * chunk; li < e && ss.ok(); ++li) {
+              ss = rp.tree->ScanLeaf(leaves[li], lo, hi, handler, wm);
             }
             wm->cpu_ns += static_cast<uint64_t>(
                 seen * ctx.parallel_row_overhead_ns);
@@ -1125,107 +1046,23 @@ Status Executor::Impl::DriveBaseScan(int nworkers, const EmitFn& emit) {
           });
     }
     case AccessPath::Kind::kCsiScan: {
-      ColumnStoreIndex* csi;
-      if (plan.base.index_name.empty()) {
-        csi = base->primary_csi();
-      } else {
-        SecondaryIndex* si = base->FindSecondary(plan.base.index_name);
-        if (si == nullptr || !si->csi) {
-          return Status::NotFound("csi " + plan.base.index_name);
-        }
-        csi = si->csi.get();
-      }
-      if (csi == nullptr) return Status::Internal("no csi");
-      const int ncols = base->num_columns();
-      // Only decode columns the query touches; the wide row's other slots
-      // stay unset and are never read downstream.
-      const std::vector<int>& cols = needed_base_cols;
-      const int ncneed = static_cast<int>(cols.size());
-      std::vector<SegPredicate> sp;
-      for (const auto& p : base_preds) sp.push_back({p.col, p.lo, p.hi});
-      // Locators (row ids) are only needed when a transaction wants per-row
-      // locks/versions or DML collects row references.
-      const bool need_locs = ctx.txn != nullptr || q.kind != Query::Kind::kSelect;
-      // Bloom pushdown: every hash join's build-side filter runs inside
-      // the scan on the decoded join-key vector, so rows that cannot join
-      // are dropped before the other columns are gathered. Checks are
-      // charged to the owning join's operator block.
-      const int driving = DrivingStepIndex();
-      std::vector<ScanKeyFilter> kfs;
-      for (size_t s = 0; s < joins.size(); ++s) {
-        if (static_cast<int>(s) == driving) continue;
-        const JoinExec& je = joins[s];
-        if (je.method != JoinStep::Method::kHash || je.hash.bloom.empty()) {
-          continue;
-        }
-        kfs.push_back(ScanKeyFilter{q.joins[plan.joins[s].join_idx].base_col,
-                                    &je.hash.bloom, OpM(opx.join[s])});
-      }
-      const std::vector<ScanKeyFilter>* kfp = kfs.empty() ? nullptr : &kfs;
-      auto make_batch_handler = [&](int w, PackedRow* rowbuf) {
-        return [&, w, rowbuf](const ColumnBatch& b) {
-          PackedRow& row = *rowbuf;
+      const CsiScan s = MakeCsiScan(ti, rp.csi, preds);
+      std::vector<PackedRow> rows(nworkers, PackedRow(ncols));
+      return DriveCsi(s, nworkers, m, label, [&](int w) -> BatchFn {
+        return [&, w](const ColumnBatch& b) {
+          int64_t* row = rows[w].data();
           for (int i = 0; i < b.count; ++i) {
             const uint32_t pi =
                 b.sel != nullptr ? b.sel[i] : static_cast<uint32_t>(i);
-            for (int c = 0; c < ncneed; ++c) row[cols[c]] = b.cols[c][pi];
+            for (size_t c = 0; c < s.cols.size(); ++c) {
+              row[s.cols[c]] = b.cols[c][pi];
+            }
             const int64_t rid = b.locators != nullptr ? b.locators[pi] : -1;
-            if (!emit(w, rid, row.data())) return false;
+            if (!emit(w, rid, row)) return false;
           }
           return true;
         };
-      };
-      const int ngroups = csi->num_row_groups();
-      if (use_shared_scan) {
-        // Cooperative pass over the row groups; the delta store is always
-        // scanned privately (row-mode, cheap, not worth coordinating).
-        Timer t;
-        PackedRow rowbuf(ncols);
-        auto handler = make_batch_handler(0, &rowbuf);
-        Status ss =
-            ctx.scan_scheduler->Scan(csi, cols, sp, handler, m, need_locs);
-        if (ss.ok()) ss = csi->ScanDelta(cols, sp, handler, m, need_locs);
-        m->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
-        return ss;
-      }
-      if (nworkers <= 1) {
-        Timer t;
-        PackedRow rowbuf(ncols);
-        auto handler = make_batch_handler(0, &rowbuf);
-        Status ss = csi->ScanGroups(0, ngroups, cols, sp, handler, m,
-                                    need_locs, nullptr, kfp);
-        if (ss.ok()) {
-          ss = csi->ScanDelta(cols, sp, handler, m, need_locs, kfp);
-        }
-        m->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
-        return ss;
-      }
-      // Morsel = one row group (+ one trailing morsel for the delta
-      // store). The delete-buffer snapshot is taken once and shared so
-      // per-group morsels do not re-scan the delete buffer.
-      std::unordered_set<int64_t> dead;
-      HD_RETURN_IF_ERROR(csi->SnapshotDeleteBuffer(&dead, m));
-      std::vector<PackedRow> rowbufs(nworkers, PackedRow(ncols));
-      std::atomic<bool> stop{false};
-      return MorselLoop(
-          static_cast<uint64_t>(ngroups) + 1, nworkers, m, scan_label,
-          [&](int slot, uint64_t mi, QueryMetrics* wm) -> Status {
-            if (stop.load(std::memory_order_relaxed)) return Status::OK();
-            auto inner = make_batch_handler(slot, &rowbufs[slot]);
-            auto handler = [&](const ColumnBatch& b) {
-              if (!inner(b)) {
-                stop.store(true, std::memory_order_relaxed);
-                return false;
-              }
-              return true;
-            };
-            if (mi < static_cast<uint64_t>(ngroups)) {
-              const int g = static_cast<int>(mi);
-              return csi->ScanGroups(g, g + 1, cols, sp, handler, wm,
-                                     need_locs, &dead, kfp);
-            }
-            return csi->ScanDelta(cols, sp, handler, wm, need_locs, kfp);
-          });
+      });
     }
   }
   return Status::Internal("unreachable");
@@ -1525,32 +1362,14 @@ Status Executor::Impl::RunSelect() {
     QueryMetrics* wm = OpM(opx.join[step]);
     Status ps = nd.tree->Scan(lo, hi, [&](const int64_t* ekey, const int64_t* payload) {
       wm->cpu_ns += static_cast<uint64_t>(ctx.serial_row_overhead_ns);
-      int64_t* dim_wide = wide + je.dim_offset;
-      if (nd.covering) {
-        for (int c : nd.needed_cols) {
-          const int slot = nd.entry_slot[c];
-          dim_wide[c] = slot < nd.kw ? ekey[slot] : payload[slot - nd.kw];
-        }
-      } else {
-        std::vector<int64_t> pk_hint;
-        for (int s : nd.pk_slots) {
-          pk_hint.push_back(s < nd.kw ? ekey[s] : payload[s - nd.kw]);
-        }
-        PackedRow full;
-        Status fs = nd.table->FetchRow(ekey[nd.kw - 1], pk_hint, &full, wm);
-        if (!fs.ok()) {
-          if (!fs.IsIoError()) return true;  // vanished row: skip
-          RecordSideError(std::move(fs));
-          cont = false;
-          return false;
-        }
-        std::copy(full.begin(), full.end(), dim_wide);
+      bool keep = false;
+      Status ds = nd.dec.Decode(ekey, payload, wide + je.dim_offset, wm, &keep);
+      if (!ds.ok()) {
+        RecordSideError(std::move(ds));
+        cont = false;
+        return false;
       }
-      // Dim residual predicates (shifted to wide coordinates).
-      for (const auto& p : nd.preds) {
-        const int64_t v = dim_wide[p.col];
-        if (v < p.lo || v > p.hi) return true;
-      }
+      if (!keep) return true;
       join_out[step][w]++;
       cont = pipeline(w, wide, rid, step + 1);
       return cont;
@@ -1583,96 +1402,61 @@ Status Executor::Impl::RunSelect() {
       std::all_of(joins.begin(), joins.end(), [](const JoinExec& j) {
         return j.method == JoinStep::Method::kHash;
       });
+  ResolvedPath base_rp;
+  HD_RETURN_IF_ERROR(ResolvePath(*base, plan.base, &base_rp));
   Status scan_status;
   if (plan.driving_join >= 0 && driving_step >= 0) {
     // Dimension-driven hybrid plan: scan the (filtered) driving dimension
     // as the outer side, seek the base table's B+ tree per dim row.
-    BTree* tree = nullptr;
-    std::vector<int> key_cols;
-    std::vector<int> payload_cols;
-    bool payload_full = false;
-    if (plan.base.index_name.empty()) {
-      tree = base->primary_btree();
-      key_cols = base->primary_key_cols();
-      payload_full = true;
-    } else {
-      SecondaryIndex* si = base->FindSecondary(plan.base.index_name);
-      if (si == nullptr || !si->btree) {
-        return Status::NotFound("index " + plan.base.index_name);
-      }
-      tree = si->btree.get();
-      key_cols = si->def.key_cols;
-      payload_cols = si->payload_cols;
-    }
     const JoinClause& jc = q.joins[plan.driving_join];
-    if (tree == nullptr || key_cols.empty() || key_cols[0] != jc.base_col) {
+    if (base_rp.tree == nullptr || base_rp.key_cols.empty() ||
+        base_rp.key_cols[0] != jc.base_col) {
       return Status::InvalidArgument(
           "dim-driven plan needs a base B+ tree leading on the join column");
     }
-    Table* dim = L.tables[plan.driving_join + 1];
-    const int dim_off = L.offset[plan.driving_join + 1];
-    std::vector<BoundPred> dim_preds = BindPreds(*dim, jc.dim.preds);
-    const int ncols = base->num_columns();
-    const int kw = static_cast<int>(key_cols.size()) + 1;
-    Timer t;
-    PackedRow rowbuf(ncols);
-    int64_t* wide = wide_bufs[0].data();
-    uint64_t fact_entries = 0;
-    uint64_t dim_rows = 0;
-    // Dim-side scan charges land on the DimDriver node; base B+ tree seeks
-    // (and residual fetches) on the scan node.
-    QueryMetrics* dm = OpM(opx.join[driving_step]);
+    const int ti = plan.driving_join + 1;
+    Table* dim = L.tables[ti];
+    const int dstride = dim->num_columns();
+    // The filtered dimension is collected first, so its scan charges land
+    // on the DimDriver node and the base seeks (and residual fetches) on
+    // the scan node.
+    std::vector<int64_t> dim_buf;
+    HD_RETURN_IF_ERROR(ScanTable(
+        ti, plan.joins[driving_step].dim_path, BindPreds(*dim, jc.dim.preds),
+        1, OpM(opx.join[driving_step]), ops[opx.join[driving_step]].name,
+        [&](int, int64_t, const int64_t* row) {
+          dim_buf.insert(dim_buf.end(), row, row + dstride);
+          return true;
+        }));
+    HD_RETURN_IF_ERROR(TakeSideError());
+    const EntryDecoder dec(*base, base_rp, ColumnsRead(0), base_preds);
     QueryMetrics* sm = ScanM();
-    scan_status = ScanDim(
-        dim, plan.joins[driving_step].dim_path, dim_preds,
-        [&](const int64_t* dimrow) {
-          ++dim_rows;
-          std::copy(dimrow, dimrow + dim->num_columns(), wide + dim_off);
-          const int64_t key = dimrow[jc.dim_col];
-          Status ps = tree->Scan(
-              Bound::Inclusive({key}), Bound::Inclusive({key}),
-              [&](const int64_t* ekey, const int64_t* payload) {
-                ++fact_entries;
-                if (payload_full) {
-                  std::copy(payload, payload + ncols, rowbuf.begin());
-                } else {
-                  std::vector<char> have(ncols, 0);
-                  for (size_t k = 0; k < key_cols.size(); ++k) {
-                    rowbuf[key_cols[k]] = ekey[k];
-                    have[key_cols[k]] = 1;
-                  }
-                  for (size_t pi = 0; pi < payload_cols.size(); ++pi) {
-                    rowbuf[payload_cols[pi]] = payload[pi];
-                    have[payload_cols[pi]] = 1;
-                  }
-                  bool missing = false;
-                  for (int c = 0; c < ncols; ++c) {
-                    if (!have[c]) { missing = true; break; }
-                  }
-                  if (missing) {
-                    std::vector<int64_t> pk_hint;
-                    for (int pk : base->primary_key_cols()) {
-                      pk_hint.push_back(rowbuf[pk]);
-                    }
-                    PackedRow full;
-                    Status fs = base->FetchRow(ekey[kw - 1], pk_hint, &full, sm);
-                    if (!fs.ok()) {
-                      if (!fs.IsIoError()) return true;  // vanished row
-                      RecordSideError(std::move(fs));
-                      return false;
-                    }
-                    rowbuf = full;
-                  }
-                }
-                if (!CheckPreds(base_preds, rowbuf.data())) return true;
-                std::copy(rowbuf.begin(), rowbuf.end(), wide);
-                base_out[0]++;
-                return pipeline(0, wide, ekey[kw - 1], 0);
-              },
-              sm);
-          if (!ps.ok()) RecordSideError(std::move(ps));
-        },
-        dm, ctx.serial_row_overhead_ns);
+    int64_t* wide = wide_bufs[0].data();
+    const uint64_t dim_rows = dim_buf.size() / dstride;
+    uint64_t fact_entries = 0;
+    bool cont = true;
+    Timer t;
+    for (size_t off = 0; off < dim_buf.size() && cont && scan_status.ok();
+         off += dstride) {
+      std::copy(&dim_buf[off], &dim_buf[off] + dstride, wide + L.offset[ti]);
+      const int64_t key = dim_buf[off + jc.dim_col];
+      scan_status = base_rp.tree->Scan(
+          Bound::Inclusive({key}), Bound::Inclusive({key}),
+          [&](const int64_t* ekey, const int64_t* payload) {
+            ++fact_entries;
+            bool keep = false;
+            Status ds = dec.Decode(ekey, payload, wide, sm, &keep);
+            if (!ds.ok()) {
+              RecordSideError(std::move(ds));
+              cont = false;
+            } else if (keep) {
+              base_out[0]++;
+              cont = pipeline(0, wide, dec.Rid(ekey), 0);
+            }
+            return cont;
+          },
+          sm);
+    }
     sm->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6) +
                   static_cast<uint64_t>(fact_entries * ctx.serial_row_overhead_ns);
     if (opx.join[driving_step] >= 0) {
@@ -1690,12 +1474,8 @@ Status Executor::Impl::RunSelect() {
     // -> PK takes the 1-match fast path. No wide row exists until the
     // consume boundary, where only rows that survived EVERY step gather
     // their dim payloads and remaining base columns.
-    ColumnStoreIndex* csi = plan.base.index_name.empty()
-                                ? base->primary_csi()
-                                : base->FindSecondary(plan.base.index_name)
-                                      ->csi.get();
-    if (csi == nullptr) return Status::Internal("no csi");
-    const std::vector<int>& cols = needed_base_cols;
+    const CsiScan scan = MakeCsiScan(0, base_rp.csi, base_preds);
+    const std::vector<int>& cols = scan.cols;
     const int ncneed = static_cast<int>(cols.size());
     std::vector<int> colslot(base->num_columns(), -1);
     for (int i = 0; i < ncneed; ++i) colslot[cols[i]] = i;
@@ -1705,21 +1485,6 @@ Status Executor::Impl::RunSelect() {
     for (size_t s = 0; s < nsteps; ++s) {
       key_ci[s] = colslot[joins[s].base_join_slot];
     }
-    std::vector<SegPredicate> sp;
-    for (const auto& p : base_preds) {
-      if (p.impossible) sp.push_back({p.col, 1, 0});
-      sp.push_back({p.col, p.lo, p.hi});
-    }
-    // Locators only when a transaction pays per-row lock/version costs.
-    const bool need_locs = ctx.txn != nullptr;
-    // Push every build-side Bloom filter into the scan.
-    std::vector<ScanKeyFilter> kfs;
-    for (size_t s = 0; s < nsteps; ++s) {
-      if (joins[s].hash.bloom.empty()) continue;
-      kfs.push_back(ScanKeyFilter{joins[s].base_join_slot,
-                                  &joins[s].hash.bloom, OpM(opx.join[s])});
-    }
-    const std::vector<ScanKeyFilter>* kfp = kfs.empty() ? nullptr : &kfs;
     struct JoinScratch {
       std::vector<int64_t> keys;
       std::vector<uint64_t> hashes;
@@ -1797,76 +1562,17 @@ Status Executor::Impl::RunSelect() {
         return true;
       };
     };
-    const int ngroups = csi->num_row_groups();
-    QueryMetrics* sm = ScanM();
-    if (nworkers <= 1) {
-      Timer t;
-      auto handler = make_handler(0);
-      scan_status = csi->ScanGroups(0, ngroups, cols, sp, handler, sm,
-                                    need_locs, nullptr, kfp);
-      if (scan_status.ok()) {
-        scan_status = csi->ScanDelta(cols, sp, handler, sm, need_locs, kfp);
-      }
-      sm->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
-    } else {
-      std::unordered_set<int64_t> dead;
-      scan_status = csi->SnapshotDeleteBuffer(&dead, sm);
-      if (scan_status.ok()) {
-        std::atomic<bool> stop{false};
-        scan_status = MorselLoop(
-            static_cast<uint64_t>(ngroups) + 1, nworkers, sm,
-            ops[opx.scan].name,
-            [&](int slot, uint64_t mi, QueryMetrics* wm) -> Status {
-              if (stop.load(std::memory_order_relaxed)) return Status::OK();
-              auto inner = make_handler(slot);
-              auto handler = [&](const ColumnBatch& b) {
-                if (!inner(b)) {
-                  stop.store(true, std::memory_order_relaxed);
-                  return false;
-                }
-                return true;
-              };
-              if (mi < static_cast<uint64_t>(ngroups)) {
-                const int g = static_cast<int>(mi);
-                return csi->ScanGroups(g, g + 1, cols, sp, handler, wm,
-                                       need_locs, &dead, kfp);
-              }
-              return csi->ScanDelta(cols, sp, handler, wm, need_locs, kfp);
-            });
-      }
-    }
+    scan_status =
+        DriveCsi(scan, nworkers, ScanM(), ops[opx.scan].name, make_handler);
   } else if (fast_group) {
     // Grouped aggregation directly over decoded batches: no wide-row
     // materialization, reusable key buffer, per-worker maps (merged in the
     // finish phase), grace-spill past the grant.
-    ColumnStoreIndex* csi = plan.base.index_name.empty()
-                                ? base->primary_csi()
-                                : base->FindSecondary(plan.base.index_name)
-                                      ->csi.get();
-    if (csi == nullptr) return Status::Internal("no csi");
-    std::vector<int> needed;
-    std::vector<char> need_flag(base->num_columns(), 0);
-    for (const auto& a : aggs) {
-      if (a.has_arg) {
-        std::vector<ColRef> refs;
-        CollectExprCols(a.arg, &refs);
-        for (const auto& r : refs) need_flag[r.col] = 1;
-      }
-    }
-    for (const auto& g : q.group_by) need_flag[g.col] = 1;
-    for (int c = 0; c < base->num_columns(); ++c) {
-      if (need_flag[c]) needed.push_back(c);
-    }
+    const CsiScan scan = MakeCsiScan(0, base_rp.csi, base_preds);
     std::vector<int> slot_of_col(base->num_columns(), -1);
-    for (size_t i = 0; i < needed.size(); ++i) slot_of_col[needed[i]] = i;
+    for (size_t i = 0; i < scan.cols.size(); ++i) slot_of_col[scan.cols[i]] = i;
     std::vector<int> group_cis;  // batch column index per group col
     for (const auto& g : q.group_by) group_cis.push_back(slot_of_col[g.col]);
-    std::vector<SegPredicate> sp;
-    for (const auto& p : base_preds) {
-      if (p.impossible) sp.push_back({p.col, 1, 0});
-      sp.push_back({p.col, p.lo, p.hi});
-    }
-    const std::unordered_set<int64_t>* delete_snapshot = nullptr;
     auto make_handler = [&](int w) {
       return [&, w](const ColumnBatch& b) {
         WorkerSink& sink = sinks[w];
@@ -1986,77 +1692,12 @@ Status Executor::Impl::RunSelect() {
         return true;
       };
     };
-    auto batch_worker = [&](int w, int gb, int ge, QueryMetrics* wm) -> Status {
-      auto handler = make_handler(w);
-      // gb < 0 selects the delta store (scheduled as its own morsel).
-      if (gb < 0) {
-        return csi->ScanDelta(needed, sp, handler, wm,
-                              /*need_locators=*/false);
-      }
-      return csi->ScanGroups(gb, ge, needed, sp, handler, wm,
-                             /*need_locators=*/false, delete_snapshot);
-    };
-    const int ngroups2 = csi->num_row_groups();
-    QueryMetrics* sm = ScanM();
-    if (use_shared_scan) {
-      Timer t;
-      auto handler = make_handler(0);
-      scan_status =
-          ctx.scan_scheduler->Scan(csi, needed, sp, handler, sm,
-                                   /*need_locators=*/false);
-      if (scan_status.ok()) {
-        scan_status = csi->ScanDelta(needed, sp, handler, sm,
-                                     /*need_locators=*/false);
-      }
-      sm->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
-    } else if (nworkers <= 1) {
-      Timer t;
-      scan_status = batch_worker(0, 0, ngroups2, sm);
-      if (scan_status.ok()) scan_status = batch_worker(0, -1, -1, sm);
-      sm->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
-    } else {
-      std::unordered_set<int64_t> dead;
-      scan_status = csi->SnapshotDeleteBuffer(&dead, sm);
-      if (scan_status.ok()) {
-        delete_snapshot = &dead;
-        scan_status = MorselLoop(
-            static_cast<uint64_t>(ngroups2) + 1, nworkers, sm,
-            ops[opx.scan].name,
-            [&](int slot, uint64_t mi, QueryMetrics* wm) -> Status {
-              if (mi < static_cast<uint64_t>(ngroups2)) {
-                const int g = static_cast<int>(mi);
-                return batch_worker(slot, g, g + 1, wm);
-              }
-              return batch_worker(slot, -1, -1, wm);
-            });
-      }
-    }
+    scan_status =
+        DriveCsi(scan, nworkers, ScanM(), ops[opx.scan].name, make_handler);
   } else if (fast_agg) {
-    // Identify the single-int-column sums we can add without decode.
-    ColumnStoreIndex* csi = plan.base.index_name.empty()
-                                ? base->primary_csi()
-                                : base->FindSecondary(plan.base.index_name)
-                                      ->csi.get();
-    if (csi == nullptr) return Status::Internal("no csi");
-    std::vector<int> needed;
-    std::vector<char> need_flag(base->num_columns(), 0);
-    for (const auto& a : aggs) {
-      if (a.has_arg) {
-        std::vector<ColRef> refs;
-        CollectExprCols(a.arg, &refs);
-        for (const auto& r : refs) need_flag[r.col] = 1;
-      }
-    }
-    for (int c = 0; c < base->num_columns(); ++c) {
-      if (need_flag[c]) needed.push_back(c);
-    }
+    CsiScan scan = MakeCsiScan(0, base_rp.csi, base_preds);
     std::vector<int> slot_of_col(base->num_columns(), -1);
-    for (size_t i = 0; i < needed.size(); ++i) slot_of_col[needed[i]] = i;
-    std::vector<SegPredicate> sp;
-    for (const auto& p : base_preds) {
-      if (p.impossible) sp.push_back({p.col, 1, 0});
-      sp.push_back({p.col, p.lo, p.hi});
-    }
+    for (size_t i = 0; i < scan.cols.size(); ++i) slot_of_col[scan.cols[i]] = i;
     // Map the aggregate list onto encoded-domain pushdown specs. All-or-
     // nothing: a row group is either answered entirely from segment
     // metadata / encoded kernels or scanned normally. Min/max can push any
@@ -2086,8 +1727,19 @@ Status Executor::Impl::RunSelect() {
     if (!pspecs.empty()) {
       pacc.assign(nworkers, std::vector<PushAggState>(pspecs.size()));
       pushed_rows.assign(nworkers, 0);
+      // A row group answered entirely in the encoded domain never reaches
+      // the decode handler (Fig. 4 aggregate pushdown).
+      scan.pushdown = [&](int w, int g, const std::unordered_set<int64_t>& dead,
+                          QueryMetrics* wm) {
+        uint64_t pr = 0;
+        if (!scan.csi->TryPushdownAggregates(g, scan.preds, pspecs,
+                                             pacc[w].data(), &dead, wm, &pr)) {
+          return false;
+        }
+        pushed_rows[w] += pr;
+        return true;
+      };
     }
-    const std::unordered_set<int64_t>* delete_snapshot = nullptr;
     auto make_handler = [&](int w) {
       return [&, w](const ColumnBatch& b) {
         WorkerSink& sink = sinks[w];
@@ -2179,73 +1831,17 @@ Status Executor::Impl::RunSelect() {
         return true;
       };
     };
-    auto batch_worker = [&](int w, int gb, int ge, QueryMetrics* wm) -> Status {
-      auto handler = make_handler(w);
-      // gb < 0 selects the delta store (scheduled as its own morsel).
-      if (gb < 0) {
-        return csi->ScanDelta(needed, sp, handler, wm,
-                              /*need_locators=*/false);
-      }
-      for (int g2 = gb; g2 < ge; ++g2) {
-        // A row group answered entirely in the encoded domain never
-        // reaches the decode handler (Fig. 4 aggregate pushdown).
-        uint64_t pr = 0;
-        if (!pspecs.empty() &&
-            csi->TryPushdownAggregates(g2, sp, pspecs, pacc[w].data(),
-                                       delete_snapshot, wm, &pr)) {
-          pushed_rows[w] += pr;
-          continue;
-        }
-        HD_RETURN_IF_ERROR(csi->ScanGroups(g2, g2 + 1, needed, sp, handler,
-                                           wm, /*need_locators=*/false,
-                                           delete_snapshot));
-      }
-      return Status::OK();
-    };
-    const int ngroups = csi->num_row_groups();
-    QueryMetrics* sm = ScanM();
-    // Snapshot the delete buffer once up front (shared across workers and
-    // across the now-per-group ScanGroups calls).
-    std::unordered_set<int64_t> dead;
-    scan_status = csi->SnapshotDeleteBuffer(&dead, sm);
-    if (scan_status.ok()) {
-      delete_snapshot = &dead;
-      if (use_shared_scan) {
-        Timer t;
-        auto handler = make_handler(0);
-        scan_status = ctx.scan_scheduler->Scan(csi, needed, sp, handler, sm,
-                                               /*need_locators=*/false);
-        if (scan_status.ok()) {
-          scan_status = csi->ScanDelta(needed, sp, handler, sm,
-                                       /*need_locators=*/false);
-        }
-        sm->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
-      } else if (nworkers <= 1) {
-        Timer t;
-        scan_status = batch_worker(0, 0, ngroups, sm);
-        if (scan_status.ok()) scan_status = batch_worker(0, -1, -1, sm);
-        sm->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
-      } else {
-        scan_status = MorselLoop(
-            static_cast<uint64_t>(ngroups) + 1, nworkers, sm,
-            ops[opx.scan].name,
-            [&](int slot, uint64_t mi, QueryMetrics* wm) -> Status {
-              if (mi < static_cast<uint64_t>(ngroups)) {
-                const int g = static_cast<int>(mi);
-                return batch_worker(slot, g, g + 1, wm);
-              }
-              return batch_worker(slot, -1, -1, wm);
-            });
-      }
-    }
+    scan_status =
+        DriveCsi(scan, nworkers, ScanM(), ops[opx.scan].name, make_handler);
   } else {
-    scan_status = DriveBaseScan(nworkers, [&](int w, int64_t rid,
-                                              const int64_t* row) {
-      int64_t* wide = wide_bufs[w].data();
-      std::copy(row, row + base->num_columns(), wide);
-      base_out[w]++;
-      return pipeline(w, wide, rid, 0);
-    });
+    scan_status = ScanTable(
+        0, plan.base, base_preds, nworkers, ScanM(), ops[opx.scan].name,
+        [&](int w, int64_t rid, const int64_t* row) {
+          int64_t* wide = wide_bufs[w].data();
+          std::copy(row, row + base->num_columns(), wide);
+          base_out[w]++;
+          return pipeline(w, wide, rid, 0);
+        });
   }
   HD_RETURN_IF_ERROR(scan_status);
   // Errors recorded inside scan callbacks (lock timeouts, fetch I/O, NL
@@ -2441,10 +2037,11 @@ Status Executor::Impl::RunSelect() {
     }
     const uint64_t bytes = all.size() * 8;
     fm->UpdatePeakMemory(bytes);
+    // Output order: a sorted row index, or scan order when `idx` is empty.
+    std::vector<uint32_t> idx;
     if (plan.explicit_sort && !sort_pos.empty()) {
-      // Build row index and sort it.
-      std::vector<uint32_t> idx(total_rows);
-      for (size_t i = 0; i < total_rows; ++i) idx[i] = static_cast<uint32_t>(i);
+      idx.resize(total_rows);
+      std::iota(idx.begin(), idx.end(), 0u);
       auto cmp = [&](uint32_t a, uint32_t b) {
         for (int sp2 : sort_pos) {
           const int64_t va = all[a * stride + sp2];
@@ -2493,39 +2090,22 @@ Status Executor::Impl::RunSelect() {
       } else {
         std::sort(idx.begin(), idx.end(), cmp);
       }
-      // Decode in sorted order.
-      size_t out_n = total_rows;
-      if (q.limit >= 0) out_n = std::min<size_t>(out_n, q.limit);
-      res.row_count = out_n;
-      const size_t matn =
-          std::min<size_t>(out_n, QueryResult::kMaxMaterializedRows);
-      for (size_t i = 0; i < matn; ++i) {
-        Row r;
-        for (size_t p2 = 0; p2 < q.select_cols.size() ||
-                            (q.select_cols.empty() && p2 < stride);
-             ++p2) {
-          const ColRef& ref = proj_refs[p2];
-          r.push_back(L.tables[ref.table]->UnpackValue(
-              ref.col, all[idx[i] * stride + p2]));
-        }
-        res.rows.push_back(std::move(r));
+    }
+    size_t out_n = total_rows;
+    if (q.limit >= 0) out_n = std::min<size_t>(out_n, q.limit);
+    res.row_count = out_n;
+    const size_t matn =
+        std::min<size_t>(out_n, QueryResult::kMaxMaterializedRows);
+    const size_t nsel = q.select_cols.empty() ? stride : q.select_cols.size();
+    for (size_t i = 0; i < matn; ++i) {
+      const size_t ri = idx.empty() ? i : idx[i];
+      Row r;
+      for (size_t p2 = 0; p2 < nsel; ++p2) {
+        const ColRef& ref = proj_refs[p2];
+        r.push_back(
+            L.tables[ref.table]->UnpackValue(ref.col, all[ri * stride + p2]));
       }
-    } else {
-      size_t out_n = total_rows;
-      if (q.limit >= 0) out_n = std::min<size_t>(out_n, q.limit);
-      res.row_count = out_n;
-      const size_t matn =
-          std::min<size_t>(out_n, QueryResult::kMaxMaterializedRows);
-      const size_t nsel = q.select_cols.empty() ? stride : q.select_cols.size();
-      for (size_t i = 0; i < matn; ++i) {
-        Row r;
-        for (size_t p2 = 0; p2 < nsel; ++p2) {
-          const ColRef& ref = proj_refs[p2];
-          r.push_back(
-              L.tables[ref.table]->UnpackValue(ref.col, all[i * stride + p2]));
-        }
-        res.rows.push_back(std::move(r));
-      }
+      res.rows.push_back(std::move(r));
     }
   }
   fm->cpu_ns += static_cast<uint64_t>(tfin.ElapsedMs() * 1e6);
@@ -2596,7 +2176,7 @@ Status Executor::Impl::RunSelect() {
 
 Status Executor::Impl::RunDml() {
   // Mutation work is attributed to the DML root node; the qualifying scan
-  // charges flow through DriveBaseScan to the scan node.
+  // charges flow through ScanTable to the scan node.
   QueryMetrics* m = OpM(opx.output);
   // Log under the enclosing transaction's WAL id, or an implicit one the
   // statement commits itself (after the latch — see Execute).
@@ -2636,13 +2216,14 @@ Status Executor::Impl::RunDml() {
   const int64_t topn = q.limit >= 0 ? q.limit : INT64_MAX;
   std::vector<RowRef> refs;
   Timer t;
-  Status s = DriveBaseScan(1, [&](int, int64_t rid, const int64_t* row) {
-    RowRef r;
-    r.rid = rid;
-    r.row.assign(row, row + base->num_columns());
-    refs.push_back(std::move(r));
-    return static_cast<int64_t>(refs.size()) < topn;
-  });
+  Status s = ScanTable(0, plan.base, base_preds, 1, ScanM(), ops[opx.scan].name,
+                       [&](int, int64_t rid, const int64_t* row) {
+                         RowRef r;
+                         r.rid = rid;
+                         r.row.assign(row, row + base->num_columns());
+                         refs.push_back(std::move(r));
+                         return static_cast<int64_t>(refs.size()) < topn;
+                       });
   HD_RETURN_IF_ERROR(s);
   HD_RETURN_IF_ERROR(TakeSideError());
   m->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/failpoint.h"
+#include "common/json.h"
 
 namespace hd {
 
@@ -38,28 +39,6 @@ uint64_t WallMs() {
           .count());
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string StatusName(Code c) { return c == Code::kOk ? "ok" : "error"; }
 

@@ -366,6 +366,165 @@ TEST_F(JoinTest, GroupByDimColumn) {
   EXPECT_EQ(total, 40000u);
 }
 
+// A plan naming a secondary index the table does not have fails with
+// NotFound on every executor path instead of dereferencing the index.
+TEST_F(JoinTest, PlanNamingMissingIndexIsNotFound) {
+  AccessPath heap;
+  AccessPath csi;
+  csi.kind = AccessPath::Kind::kCsiScan;
+  csi.index_name = "missing";
+  AccessPath btree;
+  btree.kind = AccessPath::Kind::kBTreeRange;
+  btree.index_name = "missing";
+  btree.seek_cols = 1;
+  auto plan = [](AccessPath base, std::vector<JoinStep> joins, int dop) {
+    PhysicalPlan p;
+    p.base = std::move(base);
+    p.joins = std::move(joins);
+    p.agg = AggMethod::kHash;
+    p.dop = dop;
+    return p;
+  };
+  auto step = [](JoinStep::Method m, AccessPath dim) {
+    JoinStep js;
+    js.method = m;
+    js.dim_path = std::move(dim);
+    return js;
+  };
+  Query global;
+  global.base.table = "fact";
+  global.aggs.push_back(AggSpec::Sum(Expr::Col(0, 1), "s"));
+  Query grouped = global;
+  grouped.group_by = {ColRef{0, 0}};
+  Query proj;
+  proj.base.table = "fact";
+  proj.base.preds.push_back(Pred::Lt(1, Value::Int64(5)));
+  proj.select_cols = {ColRef{0, 0}};
+  PhysicalPlan proj_csi = plan(csi, {}, 1);
+  proj_csi.agg = AggMethod::kNone;
+  PhysicalPlan proj_btree = plan(btree, {}, 1);
+  proj_btree.agg = AggMethod::kNone;
+  PhysicalPlan dim_driven = plan(btree, {step(JoinStep::Method::kHash, heap)}, 1);
+  dim_driven.driving_join = 0;
+  const Query join = JoinQuery();
+  const struct {
+    const char* shape;
+    const Query& q;
+    PhysicalPlan p;
+  } cases[] = {
+      {"global aggregate", global, plan(csi, {}, 1)},
+      {"grouped aggregate", grouped, plan(csi, {}, 4)},
+      {"csi projection", proj, proj_csi},
+      {"btree projection", proj, proj_btree},
+      {"batch join", join, plan(csi, {step(JoinStep::Method::kHash, heap)}, 1)},
+      {"serial hash build", join,
+       plan(heap, {step(JoinStep::Method::kHash, csi)}, 1)},
+      {"parallel hash build", join,
+       plan(heap, {step(JoinStep::Method::kHash, csi)}, 4)},
+      {"index NL setup", join,
+       plan(heap, {step(JoinStep::Method::kIndexNL, btree)}, 1)},
+      {"dim-driven", join, dim_driven},
+  };
+  ExecContext ctx;
+  ctx.db = &db_;
+  ctx.max_dop = 4;
+  Executor ex(ctx);
+  for (const auto& c : cases) {
+    QueryResult r = ex.Execute(c.q, c.p);
+    EXPECT_TRUE(r.status.IsNotFound()) << c.shape << ": " << r.status.ToString();
+  }
+}
+
+// Base and dimension scans over a secondary B+ tree that holds every
+// column the query reads need no primary lookups. Every lookup reads a
+// heap page, so pages_read tells a covering scan from a fetching one.
+TEST(ExecTest, CoveringSecondaryBTreeScansSkipKeyLookups) {
+  Database db;
+  // t(k, v, w): heap primary; secondary B+ tree on k including v.
+  auto t = db.CreateTable("t", Schema({{"k", ValueType::kInt64, 0},
+                                       {"v", ValueType::kInt64, 0},
+                                       {"w", ValueType::kInt64, 0}}));
+  ASSERT_TRUE(t.ok());
+  std::vector<std::vector<int64_t>> cols(3);
+  for (int i = 0; i < 20000; ++i) {
+    cols[0].push_back(i);
+    cols[1].push_back(i % 97);
+    cols[2].push_back(i % 89);
+  }
+  t.value()->BulkLoadPacked(std::move(cols));
+  ASSERT_TRUE(t.value()->CreateSecondaryBTree("ix", {0}, {1}).ok());
+  constexpr uint64_t kQualifying = 2000;  // k in [1000, 2999]
+  int64_t ref_v = 0, ref_w = 0;
+  for (int64_t k = 1000; k < 3000; ++k) {
+    ref_v += k % 97;
+    ref_w += k % 89;
+  }
+  PhysicalPlan p;
+  p.base.kind = AccessPath::Kind::kBTreeRange;
+  p.base.index_name = "ix";
+  p.base.seek_cols = 1;
+  p.agg = AggMethod::kHash;
+  Query q;
+  q.base.table = "t";
+  q.base.preds.push_back(
+      Pred::Between(0, Value::Int64(1000), Value::Int64(2999)));
+  q.aggs.push_back(AggSpec::Sum(Expr::Col(0, 1), "sv"));
+  QueryResult covering = RunWithPlan(&db, q, p);
+  ASSERT_EQ(covering.rows.size(), 1u);
+  EXPECT_EQ(covering.rows[0][0].i64(), ref_v);
+  EXPECT_LT(covering.metrics.pages_read.load(), kQualifying / 10);
+  // SUM(w) reads a column outside the index: one lookup per row.
+  q.aggs[0] = AggSpec::Sum(Expr::Col(0, 2), "sw");
+  QueryResult fetching = RunWithPlan(&db, q, p);
+  ASSERT_EQ(fetching.rows.size(), 1u);
+  EXPECT_EQ(fetching.rows[0][0].i64(), ref_w);
+  EXPECT_GE(fetching.metrics.pages_read.load(), kQualifying);
+  // DML reads every column, so an UPDATE through the index still fetches
+  // and rewrites whole rows.
+  Query upd;
+  upd.kind = Query::Kind::kUpdate;
+  upd.base.table = "t";
+  upd.base.preds = q.base.preds;
+  upd.sets.push_back(UpdateSet::Add(1, 1));
+  QueryResult ur = RunWithPlan(&db, upd, p);
+  EXPECT_EQ(ur.affected_rows, kQualifying);
+  EXPECT_GE(ur.metrics.pages_read.load(), kQualifying);
+  q.aggs[0] = AggSpec::Sum(Expr::Col(0, 1), "sv");
+  EXPECT_EQ(RunWithPlan(&db, q, p).rows[0][0].i64(),
+            ref_v + static_cast<int64_t>(kQualifying));
+  q.aggs[0] = AggSpec::Sum(Expr::Col(0, 2), "sw");
+  EXPECT_EQ(RunWithPlan(&db, q, p).rows[0][0].i64(), ref_w);
+
+  // The same index as a hash-join build side: fact(fk) joins t on k and
+  // filters t.k, so the dimension scan needs only the key column.
+  auto fact = db.CreateTable("fact", Schema({{"fk", ValueType::kInt64, 0}}));
+  ASSERT_TRUE(fact.ok());
+  std::vector<std::vector<int64_t>> fcols(1);
+  for (int i = 0; i < 5000; ++i) fcols[0].push_back(i);
+  fact.value()->BulkLoadPacked(std::move(fcols));
+  Query jq;
+  jq.base.table = "fact";
+  JoinClause jc;
+  jc.dim.table = "t";
+  jc.dim.preds = q.base.preds;
+  jc.base_col = 0;
+  jc.dim_col = 0;
+  jq.joins.push_back(jc);
+  jq.aggs.push_back(AggSpec::CountStar());
+  PhysicalPlan jp;
+  JoinStep js;
+  js.method = JoinStep::Method::kHash;
+  js.dim_path = p.base;
+  jp.joins.push_back(js);
+  jp.agg = AggMethod::kHash;
+  QueryResult jr = RunWithPlan(&db, jq, jp);
+  ASSERT_EQ(jr.rows.size(), 1u);
+  EXPECT_EQ(jr.rows[0][0].i64(), static_cast<int64_t>(kQualifying));
+  ASSERT_GE(jr.operators.size(), 2u);
+  EXPECT_LT(jr.operators[1].metrics.pages_read.load(), kQualifying / 10)
+      << jr.operators[1].name;
+}
+
 // ---------------------------------------------------------------------
 // DML via the executor.
 // ---------------------------------------------------------------------

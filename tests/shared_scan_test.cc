@@ -9,7 +9,9 @@
 // at the csi.shared_consume seam) must not corrupt or stall the others.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -238,6 +240,183 @@ TEST(SharedScanTest, FailpointAbortIsolatesVictim) {
   QueryResult after = ExecQ(&db, full, &sched);
   ASSERT_TRUE(after.ok()) << after.status.ToString();
   EXPECT_EQ(after.rows[0][0].i64(), expected);
+}
+
+// ---------------------------------------------------------------------
+// Columnstore driver x consumer matrix: every batch consumer returns the
+// heap scan's answer over a secondary CSI under every schedule the driver
+// runs (serial, DOP 4 morsels, shared pass), first with delta rows only
+// and then with a non-empty delete buffer too.
+// ---------------------------------------------------------------------
+
+/// Rows rendered as text and sorted: projections come back in scan order
+/// and groups in hash order, neither of which the matrix pins down.
+std::vector<std::string> Canonical(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (const Row& row : r.rows) {
+    std::string s;
+    for (const Value& v : row) s += v.ToString() + "|";
+    out.push_back(std::move(s));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(CsiDriverMatrixTest, EveryConsumerAgreesWithTheHeapOnEverySchedule) {
+  Database db;
+  // fact(k, g, v): heap primary plus a secondary CSI of 3 row groups.
+  auto fact = db.CreateTable("fact", Schema({{"k", ValueType::kInt64, 0},
+                                             {"g", ValueType::kInt64, 0},
+                                             {"v", ValueType::kInt64, 0}}));
+  ASSERT_TRUE(fact.ok());
+  std::vector<std::vector<int64_t>> cols(3);
+  for (int64_t i = 0; i < 300'000; ++i) {
+    cols[0].push_back(i);
+    cols[1].push_back(i % 50);
+    cols[2].push_back((i * 7919) % 1000);
+  }
+  fact.value()->BulkLoadPacked(std::move(cols));
+  ASSERT_TRUE(fact.value()->CreateSecondaryColumnStore("csi").ok());
+  const ColumnStoreIndex* csi = fact.value()->FindSecondary("csi")->csi.get();
+  ASSERT_GE(csi->num_row_groups(), 2);
+  // dim(pk, attr): the batch join's build side.
+  auto dim = db.CreateTable("dim", Schema({{"pk", ValueType::kInt64, 0},
+                                           {"attr", ValueType::kInt64, 0}}));
+  ASSERT_TRUE(dim.ok());
+  std::vector<std::vector<int64_t>> dcols(2);
+  for (int64_t i = 0; i < 50; ++i) {
+    dcols[0].push_back(i);
+    dcols[1].push_back(i % 5);
+  }
+  dim.value()->BulkLoadPacked(std::move(dcols));
+
+  auto pred_v = [](int64_t lo, int64_t hi) {
+    return Pred::Between(2, Value::Int64(lo), Value::Int64(hi));
+  };
+  struct Consumer {
+    const char* name;
+    Query q;
+    bool shares;  // the executor routes it through a shared pass
+    bool pushes;  // encoded-domain pushdown can answer whole row groups
+  };
+  std::vector<Consumer> consumers;
+  {
+    Query q;  // projection
+    q.base.table = "fact";
+    q.base.preds = {Pred::Eq(1, Value::Int64(7)), pred_v(0, 499)};
+    q.select_cols = {ColRef{0, 0}, ColRef{0, 2}};
+    consumers.push_back({"projection", q, true, false});
+  }
+  {
+    Query q;  // batch hash join
+    q.base.table = "fact";
+    q.base.preds = {pred_v(100, 899)};
+    JoinClause jc;
+    jc.dim.table = "dim";
+    jc.dim.preds = {Pred::Eq(1, Value::Int64(2))};
+    jc.base_col = 1;
+    jc.dim_col = 0;
+    q.joins.push_back(jc);
+    q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, 2), "s")};
+    consumers.push_back({"batch join", q, false, false});
+  }
+  {
+    Query q;  // grouped aggregate
+    q.base.table = "fact";
+    q.base.preds = {pred_v(100, 999)};
+    q.group_by = {ColRef{0, 1}};
+    q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, 2), "s"),
+              AggSpec::Min(Expr::Col(0, 2)), AggSpec::Max(Expr::Col(0, 0))};
+    consumers.push_back({"grouped aggregate", q, true, false});
+  }
+  {
+    Query q;  // global aggregate, pushable: predicates on its own column
+    q.base.table = "fact";
+    q.base.preds = {pred_v(100, 799)};
+    q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, 2), "s"),
+              AggSpec::Min(Expr::Col(0, 2)), AggSpec::Max(Expr::Col(0, 2))};
+    consumers.push_back({"global aggregate", q, false, true});
+  }
+  {
+    Query q;  // global aggregate with a cross-column predicate
+    q.base.table = "fact";
+    q.base.preds = {Pred::Lt(1, Value::Int64(20))};
+    q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, 2), "s"),
+              AggSpec::Max(Expr::Col(0, 0))};
+    consumers.push_back({"global aggregate, cross-column", q, true, false});
+  }
+
+  enum class Schedule { kSerial, kMorsels, kShared };
+  const std::pair<Schedule, const char*> schedules[] = {
+      {Schedule::kSerial, "serial"},
+      {Schedule::kMorsels, "dop 4"},
+      {Schedule::kShared, "shared pass"}};
+  ScanScheduler sched;
+  auto run = [&](const Consumer& c, AccessPath::Kind kind, Schedule sc) {
+    PhysicalPlan p;
+    p.base.kind = kind;
+    if (kind == AccessPath::Kind::kCsiScan) p.base.index_name = "csi";
+    for (size_t j = 0; j < c.q.joins.size(); ++j) {
+      JoinStep js;
+      js.join_idx = static_cast<int>(j);
+      p.joins.push_back(js);
+    }
+    p.agg = c.q.aggs.empty() ? AggMethod::kNone : AggMethod::kHash;
+    p.dop = sc == Schedule::kMorsels ? 4 : 1;
+    ExecContext ctx;
+    ctx.db = &db;
+    ctx.max_dop = 4;
+    if (sc == Schedule::kShared) ctx.scan_scheduler = &sched;
+    Executor ex(ctx);
+    return ex.Execute(c.q, p);
+  };
+
+  auto check_all = [&](bool expect_pushdown) {
+    for (const Consumer& c : consumers) {
+      QueryResult ref =
+          run(c, AccessPath::Kind::kHeapScan, Schedule::kSerial);
+      ASSERT_TRUE(ref.ok()) << c.name << ": " << ref.status.ToString();
+      ASSERT_FALSE(ref.rows.empty()) << c.name;
+      for (const auto& [sc, sname] : schedules) {
+        SCOPED_TRACE(std::string(c.name) + " / " + sname);
+        QueryResult r = run(c, AccessPath::Kind::kCsiScan, sc);
+        ASSERT_TRUE(r.ok()) << r.status.ToString();
+        EXPECT_EQ(r.row_count, ref.row_count);
+        EXPECT_EQ(Canonical(r), Canonical(ref));
+        const bool shared = sc == Schedule::kShared && c.shares;
+        EXPECT_EQ(r.metrics.shared_scan_attaches.load() > 0, shared);
+        if (c.pushes && sc != Schedule::kShared) {
+          EXPECT_EQ(r.metrics.aggs_pushed_down.load() > 0, expect_pushdown);
+        }
+      }
+    }
+  };
+
+  // Delta rows: trickle inserts stay in the delta store.
+  Query ins;
+  ins.kind = Query::Kind::kInsert;
+  ins.base.table = "fact";
+  for (int64_t i = 0; i < 500; ++i) {
+    ins.insert_rows.push_back({Value::Int64(300'000 + i), Value::Int64(i % 50),
+                               Value::Int64((i * 31) % 1000)});
+  }
+  QueryResult ir = ExecQ(&db, ins, nullptr);
+  ASSERT_TRUE(ir.ok()) << ir.status.ToString();
+  ASSERT_GT(csi->delta_rows(), 0u);
+  ASSERT_EQ(csi->delete_buffer_rows(), 0u);
+  check_all(/*expect_pushdown=*/true);
+
+  // Deletes of compressed rows land in the secondary CSI's delete buffer,
+  // which turns encoded-domain pushdown off for every row group.
+  Query del;
+  del.kind = Query::Kind::kDelete;
+  del.base.table = "fact";
+  del.base.preds = {Pred::Between(0, Value::Int64(1000), Value::Int64(1999))};
+  QueryResult dr = ExecQ(&db, del, nullptr);
+  ASSERT_TRUE(dr.ok()) << dr.status.ToString();
+  ASSERT_EQ(dr.affected_rows, 1000u);
+  ASSERT_GT(csi->delete_buffer_rows(), 0u);
+  check_all(/*expect_pushdown=*/false);
 }
 
 // ---------------------------------------------------------------------
