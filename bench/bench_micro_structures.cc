@@ -143,12 +143,13 @@ void BM_CsiScanWithPredicate(benchmark::State& state) {
   csi.BulkLoad(std::move(cols), std::move(locs));
   for (auto _ : state) {
     int64_t sum = 0;
-    csi.ScanGroups(0, csi.num_row_groups(), {1}, {{0, 0, 1 << 30 >> 1}},
-                   [&](const ColumnBatch& b) {
-                     for (int i = 0; i < b.count; ++i) sum += b.cols[0][i];
-                     return true;
-                   },
-                   nullptr, /*need_locators=*/false);
+    const CsiViewPtr view = csi.Pin().value();
+    view->ScanGroups(0, view->num_row_groups(), {1}, {{0, 0, 1 << 30 >> 1}},
+                     [&](const ColumnBatch& b) {
+                       for (int i = 0; i < b.count; ++i) sum += b.cols[0][i];
+                       return true;
+                     },
+                     nullptr, /*need_locators=*/false);
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);

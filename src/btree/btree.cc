@@ -34,6 +34,8 @@ struct BTree::Leaf : BTree::Node {
   // count entries, each stride_ int64s, key first.
   std::vector<int64_t> data;
   int count = 0;
+  /// Position of the last insert into this leaf (-1: none yet).
+  int last_pos = -1;
   Leaf* next = nullptr;
   Leaf* prev = nullptr;
 
@@ -290,6 +292,7 @@ Status BTree::Insert(std::span<const int64_t> key,
     // null span, which memcpy may not receive.
     std::copy_n(payload.data(), pw_, base + pos * stride_ + kw_);
     ++leaf->count;
+    leaf->last_pos = pos;
     ++num_entries_;
     return Status::OK();
   }
@@ -299,7 +302,15 @@ Status BTree::Insert(std::span<const int64_t> key,
   HD_FAILPOINT_RETURN_M("btree.split", m);
   Stats().splits->Add(1);
   Leaf* right = NewLeaf();
-  const int half = leaf->count / 2;
+  // Ascending inserts — past the last entry (a delta store's insert
+  // sequence) or right after the previous insert (one district's next
+  // order, in front of the next district's keys) — split at the insert
+  // position, like SQL Server's end-of-page split: the left leaf stays full
+  // and later ascending keys keep filling it or a fresh right sibling. A
+  // 50/50 split there would leave every left half half-empty for good.
+  const bool ascending =
+      pos == leaf->count || (leaf->last_pos >= 0 && pos == leaf->last_pos + 1);
+  const int half = ascending ? pos : leaf->count / 2;
   std::memcpy(right->data.data(), leaf->Entry(half, stride_),
               static_cast<size_t>(leaf->count - half) * stride_ * 8);
   right->count = leaf->count - half;
@@ -309,9 +320,11 @@ Status BTree::Insert(std::span<const int64_t> key,
   right->prev = leaf;
   leaf->next = right;
   // Re-insert into the proper half.
-  Leaf* target = (ComparePacked(key.data(), right->Entry(0, stride_), kw_) < 0)
-                     ? leaf
-                     : right;
+  Leaf* target =
+      right->count == 0 ||
+              ComparePacked(key.data(), right->Entry(0, stride_), kw_) >= 0
+          ? right
+          : leaf;
   pos = LowerBoundInLeaf(target, key);
   int64_t* base = target->data.data();
   std::memmove(base + (pos + 1) * stride_, base + pos * stride_,
@@ -319,6 +332,7 @@ Status BTree::Insert(std::span<const int64_t> key,
   std::memcpy(base + pos * stride_, key.data(), kw_ * 8);
   std::copy_n(payload.data(), pw_, base + pos * stride_ + kw_);
   ++target->count;
+  target->last_pos = pos;
   ++num_entries_;
   InsertIntoParent(&path, leaf, right->Entry(0, stride_), right);
   // The structural change is durable at this point; a failed touch of the
@@ -349,11 +363,12 @@ void BTree::InsertIntoParent(std::vector<Internal*>* path, Node* left,
   parent->children.insert(parent->children.begin() + idx + 1, right);
   parent->keys.insert(parent->keys.begin() + idx * kw_, sep_key, sep_key + kw_);
   if (parent->count() <= internal_cap_) return;
-  // Split the internal node.
+  // Split the internal node; a child appended at the end splits off alone,
+  // as leaves do.
   Stats().splits->Add(1);
   Internal* rnode = NewInternal();
   const int total = parent->count();
-  const int lcount = total / 2;           // children staying left
+  const int lcount = idx + 2 == total ? total - 1 : total / 2;  // stay left
   const int rcount = total - lcount;      // children moving right
   // Separator promoted to grandparent = key index lcount-1.
   std::vector<int64_t> promoted(parent->Key(lcount - 1, kw_),

@@ -1,5 +1,9 @@
 #include "catalog/database.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace hd {
 
 Result<Table*> Database::CreateTable(const std::string& name, Schema schema) {
@@ -30,6 +34,13 @@ Result<Table*> Database::CreateTable(const std::string& name, Schema schema) {
 Table* Database::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
+}
+
+Database::~Database() {
+  tables_.clear();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 Status Database::DropTable(const std::string& name) {

@@ -19,6 +19,11 @@ class Database {
   explicit Database(DiskConfig disk_cfg = DiskConfig(),
                     uint64_t buffer_capacity_bytes = 0)
       : disk_(disk_cfg), pool_(&disk_, buffer_capacity_bytes) {}
+  /// Drops the tables, then hands the freed heap back to the operating
+  /// system: a process that replaces one database with another (a server
+  /// reloading, a benchmark setting up again) would otherwise keep the old
+  /// one's pages resident under the new one.
+  ~Database();
 
   /// Create a table; name must be unique. The table gets a stable catalog
   /// id and, when durability is open, is bound to the WAL (its DDL still

@@ -719,57 +719,8 @@ Status Table::FetchRow(int64_t rid, std::span<const int64_t> pk_hint,
       key.push_back(rid);
       return primary_btree_->SeekEqual(key, out->data(), m);
     }
-    case PrimaryKind::kColumnStore: {
-      // Pruned scan of locator segments, then decode the matching row.
-      for (int g = 0; g < primary_csi_->num_row_groups(); ++g) {
-        const RowGroup& rg = primary_csi_->row_group(g);
-        const ColumnSegment& ls = rg.locator_segment();
-        if (ls.CanSkip(rid, rid)) {
-          if (m != nullptr) m->segments_skipped += 1;
-          continue;
-        }
-        HD_RETURN_IF_ERROR(ls.Touch(pool_, m));
-        const size_t n = rg.num_rows();
-        std::vector<int64_t> buf(std::min<size_t>(n, kBatchSize));
-        for (size_t start = 0; start < n; start += buf.size()) {
-          const size_t take = std::min(buf.size(), n - start);
-          ls.Decode(start, take, buf.data());
-          for (size_t i = 0; i < take; ++i) {
-            // An updated row leaves dead copies under its locator; its
-            // live image is in a later row group or the delta store.
-            if (buf[i] == rid && !rg.IsDeleted(start + i)) {
-              for (int c = 0; c < ncols; ++c) {
-                HD_RETURN_IF_ERROR(rg.segment(c).Touch(pool_, m));
-                rg.segment(c).Decode(start + i, 1, &(*out)[c]);
-              }
-              return Status::OK();
-            }
-          }
-        }
-      }
-      // Fall back to the delta store.
-      Status result = Status::NotFound("rid not found");
-      Status scan = primary_csi_->ScanDelta(
-          [&] {
-            std::vector<int> all(ncols);
-            for (int c = 0; c < ncols; ++c) all[c] = c;
-            return all;
-          }(),
-          {},
-          [&](const ColumnBatch& b) {
-            for (int i = 0; i < b.count; ++i) {
-              if (b.locators[i] == rid) {
-                for (int c = 0; c < ncols; ++c) (*out)[c] = b.cols[c][i];
-                result = Status::OK();
-                return false;
-              }
-            }
-            return true;
-          },
-          m);
-      if (!scan.ok()) return scan;
-      return result;
-    }
+    case PrimaryKind::kColumnStore:
+      return primary_csi_->FetchRow(rid, out->data(), m);
   }
   return Status::Internal("unreachable");
 }
@@ -797,21 +748,10 @@ void Table::ScanAll(const std::function<bool(int64_t, const int64_t*)>& fn,
       break;
     }
     case PrimaryKind::kColumnStore: {
-      const int ncols = schema_.num_columns();
-      std::vector<int> all(ncols);
-      for (int c = 0; c < ncols; ++c) all[c] = c;
-      PackedRow row(ncols);
-      bool stop = false;
-      auto emit = [&](const ColumnBatch& b) {
-        for (int i = 0; i < b.count && !stop; ++i) {
-          for (int c = 0; c < ncols; ++c) row[c] = b.cols[c][i];
-          if (!fn(b.locators[i], row.data())) stop = true;
-        }
-        return !stop;
-      };
-      (void)primary_csi_->ScanGroups(0, primary_csi_->num_row_groups(), all,
-                                     {}, emit, m);
-      if (!stop) (void)primary_csi_->ScanDelta(all, {}, emit, m);
+      // Callers hold the table latch (or run single-threaded); the view
+      // reads every column.
+      Result<CsiViewPtr> view = primary_csi_->Pin(m);
+      if (view.ok()) (void)(*view)->ForEachRow(fn, m);
       break;
     }
   }

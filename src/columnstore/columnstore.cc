@@ -1,6 +1,7 @@
 #include "columnstore/columnstore.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 #include "common/failpoint.h"
@@ -36,11 +37,23 @@ CsiStats& Stats() {
   return s;
 }
 
+/// Row-group versions come from one process-wide sequence, so a version
+/// identifies one image of one index.
+uint64_t NextVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ColumnStoreIndex::ColumnStoreIndex(Kind kind, int num_columns,
                                    BufferPool* pool, CsiOptions opts)
-    : kind_(kind), ncols_(num_columns), pool_(pool), opts_(opts) {
+    : kind_(kind),
+      ncols_(num_columns),
+      pool_(pool),
+      opts_(opts),
+      groups_(std::make_shared<const CsiGroupList>()),
+      column_bytes_(num_columns, 0) {
   delta_ = std::make_unique<BTree>(/*key_width=*/1,
                                    /*payload_width=*/ncols_ + 1, pool_);
   if (kind_ == Kind::kSecondary) {
@@ -61,7 +74,7 @@ ColumnStoreIndex::~ColumnStoreIndex() {
 
 void ColumnStoreIndex::SyncTelemetry() {
   Published now;
-  now.row_groups = static_cast<int64_t>(groups_.size());
+  now.row_groups = num_groups_;
   now.compressed_rows = static_cast<int64_t>(compressed_rows_);
   now.deleted_rows = static_cast<int64_t>(compressed_deleted_);
   now.delta_rows = static_cast<int64_t>(delta_rows());
@@ -103,6 +116,7 @@ void ColumnStoreIndex::BuildGroups(std::vector<std::vector<int64_t>> cols,
     locators.swap(tmp);
   }
   const size_t rg = opts_.rowgroup_size;
+  auto list = std::make_shared<CsiGroupList>(*groups_);
   for (size_t start = 0; start < n; start += rg) {
     const size_t take = std::min(rg, n - start);
     std::vector<std::vector<int64_t>> gcols(ncols_);
@@ -111,11 +125,26 @@ void ColumnStoreIndex::BuildGroups(std::vector<std::vector<int64_t>> cols,
     }
     std::vector<int64_t> glocs(locators.begin() + start,
                                locators.begin() + start + take);
-    auto g = std::make_unique<RowGroup>();
+    auto g = std::make_shared<RowGroup>();
     g->Build(std::move(gcols), std::move(glocs), opts_, pool_);
-    compressed_bytes_ += g->size_bytes();
-    groups_.push_back(std::move(g));
-    compressed_rows_ += take;
+    list->push_back(CsiGroup{std::move(g), nullptr});
+  }
+  Publish(std::move(list));
+}
+
+void ColumnStoreIndex::Publish(std::shared_ptr<const CsiGroupList> list) {
+  groups_ = std::move(list);
+  version_ = NextVersion();
+  num_groups_ = static_cast<int>(groups_->size());
+  compressed_rows_ = compressed_deleted_ = compressed_bytes_ = 0;
+  std::fill(column_bytes_.begin(), column_bytes_.end(), 0);
+  for (const CsiGroup& g : *groups_) {
+    compressed_rows_ += g.rows->num_rows();
+    compressed_deleted_ += g.deleted_count();
+    compressed_bytes_ += g.rows->size_bytes();
+    for (int c = 0; c < ncols_; ++c) {
+      column_bytes_[c] += g.rows->segment(c).size_bytes();
+    }
   }
 }
 
@@ -169,8 +198,7 @@ Status ColumnStoreIndex::CompressDelta(QueryMetrics* m) {
         return true;
       },
       m));
-  const size_t n = locs.size();
-  auto g = std::make_unique<RowGroup>();
+  auto g = std::make_shared<RowGroup>();
   g->Build(std::move(cols), std::move(locs), opts_, pool_);
   if (m != nullptr) {
     // Writing the compressed row group is real (sequential) write I/O. A
@@ -179,9 +207,9 @@ Status ColumnStoreIndex::CompressDelta(QueryMetrics* m) {
     HD_RETURN_IF_ERROR(pool_->disk()->Write(g->size_bytes(),
                                             IoPattern::kSequential, m));
   }
-  compressed_bytes_ += g->size_bytes();
-  groups_.push_back(std::move(g));
-  compressed_rows_ += n;
+  auto list = std::make_shared<CsiGroupList>(*groups_);
+  list->push_back(CsiGroup{std::move(g), nullptr});
+  Publish(std::move(list));
   delta_ = std::make_unique<BTree>(1, ncols_ + 1, pool_);
   delta_seq_ = 0;
   delta_key_of_locator_.clear();
@@ -195,7 +223,9 @@ Status ColumnStoreIndex::DeleteBatch(std::span<const int64_t> locators,
   if (locators.empty()) return Status::OK();
   if (kind_ == Kind::kSecondary) {
     // Rows still in the delta store are deleted there directly; everything
-    // else becomes a fast logical delete via the delete buffer.
+    // else becomes a fast logical delete via the delete buffer, which
+    // changes what the row groups show: a new version.
+    version_ = NextVersion();
     for (int64_t loc : locators) {
       auto it = delta_key_of_locator_.find(loc);
       if (it != delta_key_of_locator_.end()) {
@@ -214,54 +244,73 @@ Status ColumnStoreIndex::DeleteBatch(std::span<const int64_t> locators,
     }
     SyncTelemetry();
     return Status::OK();
-  } else {
-    // Primary CSI: find each locator's physical position by scanning the
-    // compressed locator segments (min/max lets us skip groups, but a
-    // matching group's segment must be decoded — the cost Section 3.3
-    // measures). One pass per statement.
-    std::unordered_set<int64_t> want(locators.begin(), locators.end());
-    std::vector<int64_t> buf(kBatchSize);
-    for (auto& g : groups_) {
-      if (want.empty()) break;
-      const ColumnSegment& ls = g->locator_segment();
-      int64_t lo = INT64_MAX, hi = INT64_MIN;
-      for (int64_t l : want) {
-        lo = std::min(lo, l);
-        hi = std::max(hi, l);
-      }
-      if (ls.CanSkip(lo, hi)) {
-        if (m != nullptr) m->segments_skipped += 1;
-        continue;
-      }
-      HD_RETURN_IF_ERROR(ls.Touch(pool_, m));
-      const size_t n = g->num_rows();
-      for (size_t start = 0; start < n; start += kBatchSize) {
-        const size_t take = std::min<size_t>(kBatchSize, n - start);
-        ls.Decode(start, take, buf.data());
-        for (size_t i = 0; i < take; ++i) {
-          // A locator recurs once its row was updated and the delta closed
-          // again; only its one live copy is the row to delete.
-          if (g->IsDeleted(start + i)) continue;
-          auto it = want.find(buf[i]);
-          if (it != want.end()) {
-            g->SetDeleted(start + i);
-            ++compressed_deleted_;
-            want.erase(it);
-          }
-        }
-      }
-    }
-    // Any remaining locators must be delta-store rows: delete them there.
-    for (int64_t loc : want) {
-      auto it = delta_key_of_locator_.find(loc);
-      if (it == delta_key_of_locator_.end()) continue;
-      HD_RETURN_IF_ERROR(
-          delta_->Delete(std::span<const int64_t>(&it->second, 1), m));
-      delta_key_of_locator_.erase(it);
-    }
-    SyncTelemetry();
-    return Status::OK();
   }
+  // Primary CSI: find each locator's physical position by scanning the
+  // compressed locator segments (min/max lets us skip groups, but a
+  // matching group's segment must be decoded — the cost Section 3.3
+  // measures). One pass per statement.
+  std::unordered_set<int64_t> want(locators.begin(), locators.end());
+  HD_RETURN_IF_ERROR(MarkDeleted(&want, m));
+  // Any remaining locators must be delta-store rows: delete them there.
+  for (int64_t loc : want) {
+    auto it = delta_key_of_locator_.find(loc);
+    if (it == delta_key_of_locator_.end()) continue;
+    HD_RETURN_IF_ERROR(
+        delta_->Delete(std::span<const int64_t>(&it->second, 1), m));
+    delta_key_of_locator_.erase(it);
+  }
+  SyncTelemetry();
+  return Status::OK();
+}
+
+Status ColumnStoreIndex::MarkDeleted(std::unordered_set<int64_t>* want,
+                                     QueryMetrics* m) {
+  if (want->empty() || groups_->empty()) return Status::OK();
+  auto list = std::make_shared<CsiGroupList>(*groups_);
+  bool changed = false;
+  Status st;
+  std::vector<int64_t> buf(kBatchSize);
+  for (CsiGroup& g : *list) {
+    if (want->empty()) break;
+    const ColumnSegment& ls = g.rows->locator_segment();
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    for (int64_t l : *want) {
+      lo = std::min(lo, l);
+      hi = std::max(hi, l);
+    }
+    if (ls.CanSkip(lo, hi)) {
+      if (m != nullptr) m->segments_skipped += 1;
+      continue;
+    }
+    // A mid-way failure publishes the bits already set: the caller keeps
+    // the locators it still holds (delete buffer), so nothing resurrects.
+    st = ls.Touch(pool_, m);
+    if (!st.ok()) break;
+    // The published bitmap is shared with read views: change a copy.
+    std::shared_ptr<DeleteBitmap> bits;
+    const size_t n = g.rows->num_rows();
+    for (size_t start = 0; start < n && !want->empty(); start += kBatchSize) {
+      const size_t take = std::min<size_t>(kBatchSize, n - start);
+      ls.Decode(start, take, buf.data());
+      for (size_t i = 0; i < take; ++i) {
+        // A locator recurs once its row was updated and the delta closed
+        // again; only its one live copy is the row to delete.
+        if (g.IsDeleted(start + i)) continue;
+        auto it = want->find(buf[i]);
+        if (it == want->end()) continue;
+        if (bits == nullptr) {
+          bits = g.deletes != nullptr ? std::make_shared<DeleteBitmap>(*g.deletes)
+                                      : std::make_shared<DeleteBitmap>(n);
+          g.deletes = bits;
+          changed = true;
+        }
+        bits->SetDeleted(start + i);
+        want->erase(it);
+      }
+    }
+  }
+  if (changed) Publish(std::move(list));
+  return st;
 }
 
 Status ColumnStoreIndex::CompactDeleteBuffer(QueryMetrics* m) {
@@ -270,34 +319,51 @@ Status ColumnStoreIndex::CompactDeleteBuffer(QueryMetrics* m) {
   }
   std::unordered_set<int64_t> dead;
   HD_RETURN_IF_ERROR(SnapshotDeleteBuffer(&dead, m));
+  // Skip dead copies of a recurring locator (see MarkDeleted): the
+  // buffered delete belongs to its live copy.
+  HD_RETURN_IF_ERROR(MarkDeleted(&dead, m));
+  delete_buffer_ = std::make_unique<BTree>(1, 0, pool_);
+  version_ = NextVersion();
+  Stats().delete_compactions->Add(1);
+  SyncTelemetry();
+  return Status::OK();
+}
+
+Status ColumnStoreIndex::FetchRow(int64_t locator, int64_t* out,
+                                  QueryMetrics* m) const {
   std::vector<int64_t> buf(kBatchSize);
-  for (auto& g : groups_) {
-    if (dead.empty()) break;
-    const ColumnSegment& ls = g->locator_segment();
-    // Mid-loop failure keeps the delete buffer: bits already folded stay
-    // set and the buffered locators still shadow them, so nothing
-    // resurrects; compaction simply runs again later.
+  for (const CsiGroup& g : *groups_) {
+    const RowGroup& rg = *g.rows;
+    const ColumnSegment& ls = rg.locator_segment();
+    if (ls.CanSkip(locator, locator)) {
+      if (m != nullptr) m->segments_skipped += 1;
+      continue;
+    }
     HD_RETURN_IF_ERROR(ls.Touch(pool_, m));
-    const size_t n = g->num_rows();
-    for (size_t start = 0; start < n && !dead.empty(); start += kBatchSize) {
+    const size_t n = rg.num_rows();
+    for (size_t start = 0; start < n; start += kBatchSize) {
       const size_t take = std::min<size_t>(kBatchSize, n - start);
       ls.Decode(start, take, buf.data());
       for (size_t i = 0; i < take; ++i) {
-        // Skip dead copies of a recurring locator (see DeleteBatch): the
-        // buffered delete belongs to its live copy.
-        if (g->IsDeleted(start + i)) continue;
-        auto it = dead.find(buf[i]);
-        if (it != dead.end()) {
-          g->SetDeleted(start + i);
-          ++compressed_deleted_;
-          dead.erase(it);
+        // An updated row leaves dead copies under its locator; its live
+        // image is in a later row group or the delta store.
+        if (buf[i] != locator || g.IsDeleted(start + i)) continue;
+        for (int c = 0; c < ncols_; ++c) {
+          HD_RETURN_IF_ERROR(rg.segment(c).Touch(pool_, m));
+          rg.segment(c).Decode(start + i, 1, &out[c]);
         }
+        return Status::OK();
       }
     }
   }
-  delete_buffer_ = std::make_unique<BTree>(1, 0, pool_);
-  Stats().delete_compactions->Add(1);
-  SyncTelemetry();
+  auto it = delta_key_of_locator_.find(locator);
+  if (it == delta_key_of_locator_.end()) {
+    return Status::NotFound("locator not found");
+  }
+  std::vector<int64_t> payload(ncols_ + 1);
+  HD_RETURN_IF_ERROR(delta_->SeekEqual(
+      std::span<const int64_t>(&it->second, 1), payload.data(), m));
+  std::copy(payload.begin(), payload.begin() + ncols_, out);
   return Status::OK();
 }
 
@@ -316,12 +382,6 @@ uint64_t ColumnStoreIndex::size_bytes() const {
   return b;
 }
 
-uint64_t ColumnStoreIndex::column_size_bytes(int col) const {
-  uint64_t b = 0;
-  for (const auto& g : groups_) b += g->segment(col).size_bytes();
-  return b;
-}
-
 Status ColumnStoreIndex::SnapshotDeleteBuffer(std::unordered_set<int64_t>* out,
                                               QueryMetrics* m) const {
   out->clear();
@@ -337,13 +397,51 @@ Status ColumnStoreIndex::SnapshotDeleteBuffer(std::unordered_set<int64_t>* out,
                               m);
 }
 
-Status ColumnStoreIndex::ScanGroups(
+Result<CsiViewPtr> ColumnStoreIndex::Pin(const std::vector<int>& delta_cols,
+                                         QueryMetrics* m) const {
+  auto v = std::shared_ptr<CsiReadView>(new CsiReadView());
+  v->ncols_ = ncols_;
+  v->pool_ = pool_;
+  v->version_ = version_;
+  v->groups_ = groups_;
+  HD_RETURN_IF_ERROR(SnapshotDeleteBuffer(&v->dead_, m));
+  v->delta_slot_.assign(ncols_, -1);
+  std::vector<int> pinned;
+  for (int c : delta_cols) {
+    if (c < 0 || c >= ncols_ || v->delta_slot_[c] >= 0) continue;
+    v->delta_slot_[c] = static_cast<int>(pinned.size());
+    pinned.push_back(c);
+  }
+  const uint64_t n = delta_rows();
+  v->delta_vals_.resize(pinned.size());
+  if (n > 0) {
+    for (auto& col : v->delta_vals_) col.reserve(n);
+    v->delta_locs_.reserve(n);
+    HD_RETURN_IF_ERROR(delta_->Scan(
+        Bound::Unbounded(), Bound::Unbounded(),
+        [&](const int64_t*, const int64_t* payload) {
+          for (size_t i = 0; i < pinned.size(); ++i) {
+            v->delta_vals_[i].push_back(payload[pinned[i]]);
+          }
+          v->delta_locs_.push_back(payload[ncols_]);
+          return true;
+        },
+        m));
+  }
+  return CsiViewPtr(std::move(v));
+}
+
+Result<CsiViewPtr> ColumnStoreIndex::Pin(QueryMetrics* m) const {
+  std::vector<int> all(ncols_);
+  for (int c = 0; c < ncols_; ++c) all[c] = c;
+  return Pin(all, m);
+}
+
+Status CsiReadView::ScanGroups(
     int group_begin, int group_end, const std::vector<int>& cols_needed,
     const std::vector<SegPredicate>& preds,
     const std::function<bool(const ColumnBatch&)>& fn, QueryMetrics* m,
-    bool need_locators,
-    const std::unordered_set<int64_t>* delete_snapshot,
-    const std::vector<ScanKeyFilter>* key_filters) const {
+    bool need_locators, const std::vector<ScanKeyFilter>* key_filters) const {
   group_end = std::min(group_end, num_row_groups());
   const bool have_filters = key_filters != nullptr && !key_filters->empty();
   // Map each key filter to its position in cols_needed so its decode
@@ -357,14 +455,8 @@ Status ColumnStoreIndex::ScanGroups(
     }
   }
   std::vector<char> col_done(cols_needed.size(), 0);
-  // Anti-join set from the delete buffer (secondary CSI only). Parallel
-  // scans snapshot once and share it across morsels via delete_snapshot.
-  std::unordered_set<int64_t> local_dead;
-  if (delete_snapshot == nullptr) {
-    HD_RETURN_IF_ERROR(SnapshotDeleteBuffer(&local_dead, m));
-  }
-  const std::unordered_set<int64_t>& dead =
-      delete_snapshot != nullptr ? *delete_snapshot : local_dead;
+  // Anti-join set from the delete buffer (secondary CSI only).
+  const std::unordered_set<int64_t>& dead = dead_;
   const bool check_dead = !dead.empty();
 
   // Scratch buffers reused across batches.
@@ -384,7 +476,8 @@ Status ColumnStoreIndex::ScanGroups(
   active.reserve(preds.size());
 
   for (int gi = group_begin; gi < group_end; ++gi) {
-    const RowGroup& g = *groups_[gi];
+    const CsiGroup& cg = (*groups_)[gi];
+    const RowGroup& g = *cg.rows;
     // Translate each predicate into this group's encoded domain: one
     // dictionary binary search per segment. A `none` result eliminates
     // the group (min/max data skipping, or a dictionary miss inside the
@@ -414,7 +507,7 @@ Status ColumnStoreIndex::ScanGroups(
       for (int c : cols_needed) needed |= (c == p.col);
       if (!needed) HD_RETURN_IF_ERROR(g.segment(p.col).Touch(pool_, m));
     }
-    const bool want_locs = need_locators || check_dead || g.has_deletes();
+    const bool want_locs = need_locators || check_dead || cg.has_deletes();
     if (want_locs) HD_RETURN_IF_ERROR(g.locator_segment().Touch(pool_, m));
 
     const size_t n = g.num_rows();
@@ -460,7 +553,7 @@ Status ColumnStoreIndex::ScanGroups(
       }
       // Filter deleted rows: bitmap, then delete-buffer anti-join. The
       // compaction keeps loc_buf aligned with sel.
-      if (check_dead || g.has_deletes()) {
+      if (check_dead || cg.has_deletes()) {
         if (dense) {
           for (int i = 0; i < take; ++i) sel[i] = static_cast<uint32_t>(i);
           dense = false;
@@ -468,7 +561,7 @@ Status ColumnStoreIndex::ScanGroups(
         int k = 0;
         for (int s = 0; s < nsel; ++s) {
           const uint32_t i = sel[s];
-          bool live = !g.IsDeleted(start + i);
+          bool live = !cg.IsDeleted(start + i);
           if (live && check_dead) live = !dead.count(loc_buf[s]);
           sel[k] = i;
           loc_buf[k] = loc_buf[s];
@@ -573,10 +666,10 @@ Status ColumnStoreIndex::ScanGroups(
   return Status::OK();
 }
 
-Status ColumnStoreIndex::DecodeGroupDense(int gi, const std::vector<int>& cols,
-                                          bool want_locators, DecodedGroup* out,
-                                          QueryMetrics* m) const {
-  const RowGroup& g = *groups_[gi];
+Status CsiReadView::DecodeGroupDense(int gi, const std::vector<int>& cols,
+                                     bool want_locators, DecodedGroup* out,
+                                     QueryMetrics* m) const {
+  const RowGroup& g = *(*groups_)[gi].rows;
   const size_t n = g.num_rows();
   out->group = gi;
   out->rows = n;
@@ -602,16 +695,15 @@ Status ColumnStoreIndex::DecodeGroupDense(int gi, const std::vector<int>& cols,
   return Status::OK();
 }
 
-Status ColumnStoreIndex::ScanDecodedGroup(
+Status CsiReadView::ScanDecodedGroup(
     const DecodedGroup& dg, const std::vector<int>& cols_needed,
     const std::vector<SegPredicate>& preds,
     const std::function<bool(const ColumnBatch&)>& fn, QueryMetrics* m,
-    bool need_locators, const std::unordered_set<int64_t>* delete_snapshot,
-    bool* stopped) const {
+    bool need_locators, bool* stopped) const {
   if (stopped != nullptr) *stopped = false;
-  const RowGroup& g = *groups_[dg.group];
-  const bool check_dead =
-      delete_snapshot != nullptr && !delete_snapshot->empty();
+  const CsiGroup& cg = (*groups_)[dg.group];
+  const RowGroup& g = *cg.rows;
+  const bool check_dead = !dead_.empty();
 
   // Dense column pointers for the consumer's projection.
   std::vector<const int64_t*> dense(cols_needed.size());
@@ -664,7 +756,7 @@ Status ColumnStoreIndex::ScanDecodedGroup(
   SelVector match;
   std::vector<uint32_t> sel(kBatchSize);
   const size_t n = dg.rows;
-  const bool filter_deletes = check_dead || g.has_deletes();
+  const bool filter_deletes = check_dead || cg.has_deletes();
   for (size_t start = 0; start < n; start += kBatchSize) {
     const int take = static_cast<int>(std::min<size_t>(kBatchSize, n - start));
     int nsel;
@@ -737,8 +829,8 @@ Status ColumnStoreIndex::ScanDecodedGroup(
       int k = 0;
       for (int s = 0; s < nsel; ++s) {
         const uint32_t i = sel[s];
-        bool live = !g.IsDeleted(start + i);
-        if (live && check_dead) live = !delete_snapshot->count(locs[i]);
+        bool live = !cg.IsDeleted(start + i);
+        if (live && check_dead) live = !dead_.count(locs[i]);
         sel[k] = i;
         k += live;
       }
@@ -764,20 +856,16 @@ Status ColumnStoreIndex::ScanDecodedGroup(
   return Status::OK();
 }
 
-bool ColumnStoreIndex::TryPushdownAggregates(
+bool CsiReadView::TryPushdownAggregates(
     int gi, const std::vector<SegPredicate>& preds,
-    std::span<const PushAggSpec> specs, PushAggState* acc,
-    const std::unordered_set<int64_t>* delete_snapshot,
-    QueryMetrics* m, uint64_t* rows_aggregated) const {
+    std::span<const PushAggSpec> specs, PushAggState* acc, QueryMetrics* m,
+    uint64_t* rows_aggregated) const {
   if (rows_aggregated != nullptr) *rows_aggregated = 0;
   if (gi < 0 || gi >= num_row_groups() || specs.empty()) return false;
-  const RowGroup& g = *groups_[gi];
+  const CsiGroup& cg = (*groups_)[gi];
+  const RowGroup& g = *cg.rows;
   // Deleted rows would have to be subtracted value-by-value; fall back.
-  if (g.has_deletes()) return false;
-  if (delete_snapshot != nullptr ? !delete_snapshot->empty()
-                                 : delete_buffer_rows() > 0) {
-    return false;
-  }
+  if (cg.has_deletes() || !dead_.empty()) return false;
   const size_t n = g.num_rows();
   if (n == 0) return true;
 
@@ -921,80 +1009,109 @@ bool ColumnStoreIndex::TryPushdownAggregates(
   return true;
 }
 
-Status ColumnStoreIndex::ScanDelta(
+Status CsiReadView::ScanDelta(
     const std::vector<int>& cols_needed, const std::vector<SegPredicate>& preds,
     const std::function<bool(const ColumnBatch&)>& fn, QueryMetrics* m,
-    bool need_locators, const std::vector<ScanKeyFilter>* key_filters) const {
-  (void)need_locators;  // delta rows carry their locator inline anyway
-  if (delta_rows() == 0) return Status::OK();
-  const bool have_filters = key_filters != nullptr && !key_filters->empty();
-  // Per-filter check/filtered tallies, flushed once at end of scan so the
-  // per-row path stays free of atomic traffic.
-  std::vector<uint64_t> kf_checks, kf_dropped;
-  if (have_filters) {
-    kf_checks.assign(key_filters->size(), 0);
-    kf_dropped.assign(key_filters->size(), 0);
+    const std::vector<ScanKeyFilter>* key_filters) const {
+  (void)m;  // the delta rows were read (and charged) at pin time
+  const size_t n = delta_locs_.size();
+  if (n == 0) return Status::OK();
+  auto pinned = [&](int col) -> const int64_t* {
+    const int slot = col >= 0 && col < ncols_ ? delta_slot_[col] : -1;
+    return slot >= 0 ? delta_vals_[slot].data() : nullptr;
+  };
+  struct ColPred {
+    const int64_t* vals;
+    int64_t lo, hi;
+  };
+  std::vector<ColPred> cpreds;
+  for (const auto& p : preds) {
+    const int64_t* v = pinned(p.col);
+    if (v == nullptr) return Status::Internal("delta column not pinned");
+    cpreds.push_back(ColPred{v, p.lo, p.hi});
+  }
+  std::vector<const int64_t*> filter_cols;
+  const size_t nfilters = key_filters != nullptr ? key_filters->size() : 0;
+  for (size_t fi = 0; fi < nfilters; ++fi) {
+    const ScanKeyFilter& kf = (*key_filters)[fi];
+    const int64_t* v = kf.bloom != nullptr ? pinned(kf.col) : nullptr;
+    if (kf.bloom != nullptr && v == nullptr) {
+      return Status::Internal("delta column not pinned");
+    }
+    filter_cols.push_back(v);
+  }
+  std::vector<const int64_t*> out_src(cols_needed.size());
+  for (size_t ci = 0; ci < cols_needed.size(); ++ci) {
+    out_src[ci] = pinned(cols_needed[ci]);
+    if (out_src[ci] == nullptr) return Status::Internal("delta column not pinned");
   }
   // Note: the delete buffer does NOT apply here. A locator in the buffer
   // marks the *compressed* copy dead; a delta row with the same locator is
   // the row's live, newer version (delete-then-insert update pattern).
+  std::vector<uint32_t> sel(kBatchSize);
   std::vector<std::vector<int64_t>> out_cols(cols_needed.size());
   for (auto& d : out_cols) d.resize(kBatchSize);
   std::vector<int64_t> out_locs(kBatchSize);
-  int count = 0;
-  bool stop = false;
-  auto flush = [&]() {
-    if (count == 0 || stop) return;
+  for (size_t start = 0; start < n; start += kBatchSize) {
+    const size_t take = std::min<size_t>(kBatchSize, n - start);
+    int nsel = 0;
+    for (size_t i = 0; i < take; ++i) {
+      const size_t r = start + i;
+      bool keep = true;
+      for (const ColPred& p : cpreds) {
+        keep &= p.vals[r] >= p.lo && p.vals[r] <= p.hi;
+      }
+      sel[nsel] = static_cast<uint32_t>(r);
+      nsel += keep;
+    }
+    // Bloom pushdown on the surviving rows, one filter at a time; checks
+    // and drops are charged to each owning join.
+    for (size_t fi = 0; fi < nfilters && nsel > 0; ++fi) {
+      const ScanKeyFilter& kf = (*key_filters)[fi];
+      if (kf.bloom == nullptr) continue;
+      int k = 0;
+      for (int j = 0; j < nsel; ++j) {
+        sel[k] = sel[j];
+        k += kf.bloom->MayContain(filter_cols[fi][sel[j]]);
+      }
+      if (kf.m != nullptr) {
+        kf.m->join_bloom_checks += static_cast<uint64_t>(nsel);
+        kf.m->join_bloom_filtered += static_cast<uint64_t>(nsel - k);
+      }
+      nsel = k;
+    }
+    if (nsel == 0) continue;
     ColumnBatch b;
-    b.count = count;
+    b.count = nsel;
     b.cols.resize(cols_needed.size());
     for (size_t ci = 0; ci < cols_needed.size(); ++ci) {
+      for (int j = 0; j < nsel; ++j) out_cols[ci][j] = out_src[ci][sel[j]];
       b.cols[ci] = out_cols[ci].data();
     }
+    for (int j = 0; j < nsel; ++j) out_locs[j] = delta_locs_[sel[j]];
     b.locators = out_locs.data();
-    if (!fn(b)) stop = true;
-    count = 0;
-  };
-  HD_RETURN_IF_ERROR(delta_->Scan(
-      Bound::Unbounded(), Bound::Unbounded(),
-      [&](const int64_t*, const int64_t* payload) {
-        const int64_t loc = payload[ncols_];
-        for (const auto& p : preds) {
-          const int64_t v = payload[p.col];
-          if (v < p.lo || v > p.hi) return true;
-        }
-        if (have_filters) {
-          for (size_t fi = 0; fi < key_filters->size(); ++fi) {
-            const ScanKeyFilter& kf = (*key_filters)[fi];
-            if (kf.bloom == nullptr) continue;
-            ++kf_checks[fi];
-            if (!kf.bloom->MayContain(payload[kf.col])) {
-              ++kf_dropped[fi];
-              return true;
-            }
-          }
-        }
-        for (size_t ci = 0; ci < cols_needed.size(); ++ci) {
-          out_cols[ci][count] = payload[cols_needed[ci]];
-        }
-        out_locs[count] = loc;
-        if (++count == kBatchSize) {
-          flush();
-          if (stop) return false;
-        }
-        return true;
-      },
-      m));
-  flush();
-  if (have_filters) {
-    for (size_t fi = 0; fi < key_filters->size(); ++fi) {
-      QueryMetrics* jm = (*key_filters)[fi].m;
-      if (jm == nullptr) continue;
-      jm->join_bloom_checks += kf_checks[fi];
-      jm->join_bloom_filtered += kf_dropped[fi];
-    }
+    if (!fn(b)) return Status::OK();
   }
   return Status::OK();
+}
+
+Status CsiReadView::ForEachRow(
+    const std::function<bool(int64_t, const int64_t*)>& fn,
+    QueryMetrics* m) const {
+  std::vector<int> all(ncols_);
+  for (int c = 0; c < ncols_; ++c) all[c] = c;
+  std::vector<int64_t> row(ncols_);
+  bool stop = false;
+  auto emit = [&](const ColumnBatch& b) {
+    for (int i = 0; i < b.count && !stop; ++i) {
+      for (int c = 0; c < ncols_; ++c) row[c] = b.cols[c][i];
+      if (!fn(b.locators[i], row.data())) stop = true;
+    }
+    return !stop;
+  };
+  HD_RETURN_IF_ERROR(ScanGroups(0, num_row_groups(), all, {}, emit, m));
+  if (stop) return Status::OK();
+  return ScanDelta(all, {}, emit, m);
 }
 
 Status ColumnStoreIndex::Reorganize() {
@@ -1007,17 +1124,17 @@ Status ColumnStoreIndex::Reorganize() {
   std::vector<std::vector<int64_t>> cols(ncols_);
   std::vector<int64_t> locs;
   std::vector<int64_t> buf;
-  for (auto& g : groups_) {
-    const size_t n = g->num_rows();
+  for (const CsiGroup& g : *groups_) {
+    const size_t n = g.rows->num_rows();
     buf.resize(n);
     std::vector<int64_t> lbuf(n);
-    g->locator_segment().Decode(0, n, lbuf.data());
+    g.rows->locator_segment().Decode(0, n, lbuf.data());
     std::vector<char> keep(n, 1);
     for (size_t i = 0; i < n; ++i) {
-      if (g->IsDeleted(i) || (!dead.empty() && dead.count(lbuf[i]))) keep[i] = 0;
+      if (g.IsDeleted(i) || (!dead.empty() && dead.count(lbuf[i]))) keep[i] = 0;
     }
     for (int c = 0; c < ncols_; ++c) {
-      g->segment(c).Decode(0, n, buf.data());
+      g.rows->segment(c).Decode(0, n, buf.data());
       for (size_t i = 0; i < n; ++i) {
         if (keep[i]) cols[c].push_back(buf[i]);
       }
@@ -1038,10 +1155,8 @@ Status ColumnStoreIndex::Reorganize() {
                      return true;
                    },
                    nullptr));
-  groups_.clear();
-  compressed_rows_ = 0;
-  compressed_deleted_ = 0;
-  compressed_bytes_ = 0;
+  // Views pinned earlier keep the old groups; the index starts a new list.
+  groups_ = std::make_shared<const CsiGroupList>();
   delta_ = std::make_unique<BTree>(1, ncols_ + 1, pool_);
   delta_seq_ = 0;
   delta_key_of_locator_.clear();

@@ -11,6 +11,15 @@
 //     bitmap*, keeping scans fast but making small deletes expensive.
 //   - Reorganize() models the background tuple mover: compresses the delta
 //     store into row groups and folds the delete buffer into bitmaps.
+//
+// Queries never scan the live index. They scan a CsiReadView: an immutable,
+// refcounted image pinned under the table latch (Pin). The view shares the
+// index's row groups and delete bitmaps (mutators publish new lists and
+// copy a bitmap before changing it, so a pinned image never changes) and
+// copies what is mutable in place: the delete-buffer locators and the
+// delta rows the statement reads. Once pinned, a scan needs no latch, so
+// writers do not wait for analytic queries (DESIGN.md, "Latching and read
+// views").
 #pragma once
 
 #include <functional>
@@ -95,63 +104,67 @@ struct PushAggState {
   bool has = false;
 };
 
-class ColumnStoreIndex {
+/// A row group as an index or a view holds it: the immutable compressed
+/// data plus the delete bitmap current when the list was published.
+struct CsiGroup {
+  std::shared_ptr<const RowGroup> rows;
+  /// Null until the group's first delete.
+  std::shared_ptr<const DeleteBitmap> deletes;
+
+  bool IsDeleted(size_t pos) const {
+    return deletes != nullptr && deletes->IsDeleted(pos);
+  }
+  uint64_t deleted_count() const {
+    return deletes != nullptr ? deletes->count() : 0;
+  }
+  bool has_deletes() const { return deleted_count() > 0; }
+};
+using CsiGroupList = std::vector<CsiGroup>;
+
+/// Dense decoded image of one row group — the payload of a shared-scan
+/// ring slot. One decode is produced by whichever consumer claims the
+/// group; every attached consumer then evaluates its own predicates
+/// against the dense arrays via CsiReadView::ScanDecodedGroup.
+struct DecodedGroup {
+  int group = -1;
+  size_t rows = 0;
+  /// Stored-column positions decoded, parallel to `values`.
+  std::vector<int> cols;
+  std::vector<std::vector<int64_t>> values;
+  /// Dense locator decode; empty when no consumer (and no delete
+  /// filtering) needs locators.
+  std::vector<int64_t> locators;
+  /// Decoded bytes this image represents (8 bytes × rows × arrays) —
+  /// what each additional consumer saves by not decoding privately.
+  uint64_t decode_bytes = 0;
+
+  const int64_t* column(int col) const {
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (cols[i] == col) return values[i].data();
+    }
+    return nullptr;
+  }
+};
+
+/// Immutable image of a ColumnStoreIndex as of ColumnStoreIndex::Pin: the
+/// row-group list with each group's delete bitmap, the delete-buffer
+/// locators, and the delta rows (the pinned columns plus locators,
+/// column-major). Every method is const and reads only the view, so
+/// any number of threads may scan one view without the table latch, while
+/// the index keeps changing.
+class CsiReadView {
  public:
-  enum class Kind { kPrimary, kSecondary };
-
-  /// `num_columns` stored columns (the table maps its schema onto them).
-  ColumnStoreIndex(Kind kind, int num_columns, BufferPool* pool,
-                   CsiOptions opts = CsiOptions());
-  /// Retracts this index's contribution to the process health gauges.
-  ~ColumnStoreIndex();
-
-  Kind kind() const { return kind_; }
+  /// Identity of the row-group image: the group list, every delete bitmap
+  /// and the delete buffer. Two views with the same version scan the same
+  /// row groups and filter the same deleted rows (their delta rows may
+  /// differ). Unique across all indexes in the process.
+  uint64_t version() const { return version_; }
   int num_columns() const { return ncols_; }
-  const CsiOptions& options() const { return opts_; }
-
-  /// WAL rule plumbing (storage/wal.h): LSN of the last logged mutation
-  /// (delta insert / delete / reorg) applied to this index. Stamped by
-  /// catalog::Table; checked at checkpoint time.
-  uint64_t recovery_lsn() const { return recovery_lsn_; }
-  void set_recovery_lsn(uint64_t lsn) {
-    if (lsn > recovery_lsn_) recovery_lsn_ = lsn;
-  }
-
-  /// Bulk load column-major data; `locators[i]` identifies row i in the
-  /// base table (RowId, or the row's own id when this is the primary).
-  void BulkLoad(std::vector<std::vector<int64_t>> cols,
-                std::vector<int64_t> locators);
-
-  /// Trickle-insert one row into the delta store, then close the delta
-  /// (CompressDelta) once it reaches CsiOptions::rowgroup_size rows or,
-  /// when the index has compressed rows, once its raw bytes exceed the
-  /// compressed row groups' bytes — so the delta never outweighs the
-  /// compressed data. A failed automatic delta flush does NOT fail the
-  /// insert — the delta simply stays resident (scans union it) and the
-  /// next insert retries.
-  Status Insert(std::span<const int64_t> row, int64_t locator,
-                QueryMetrics* m);
-
-  /// Statement-level delete of a set of locators. Secondary: append each
-  /// to the delete buffer. Primary: scan row-group locator segments to
-  /// find positions and set delete bitmap bits (the expensive path).
-  Status DeleteBatch(std::span<const int64_t> locators, QueryMetrics* m);
-
-  /// Number of live rows (compressed + delta - deleted).
-  uint64_t num_rows() const;
-  uint64_t compressed_rows() const { return compressed_rows_; }
-  uint64_t delta_rows() const { return delta_ ? delta_->num_entries() : 0; }
-  uint64_t delete_buffer_rows() const {
-    return delete_buffer_ ? delete_buffer_->num_entries() : 0;
-  }
-  int num_row_groups() const { return static_cast<int>(groups_.size()); }
-  const RowGroup& row_group(int g) const { return *groups_[g]; }
-
-  /// Compressed size (all row groups) plus delta/delete structures.
-  uint64_t size_bytes() const;
-  /// Compressed bytes of one stored column across row groups — the
-  /// per-column size the what-if API needs (Section 4.2).
-  uint64_t column_size_bytes(int col) const;
+  int num_row_groups() const { return static_cast<int>(groups_->size()); }
+  const CsiGroup& group(int g) const { return (*groups_)[g]; }
+  uint64_t delta_rows() const { return delta_locs_.size(); }
+  /// Delete-buffer locators (secondary CSI; empty for a primary).
+  const std::unordered_set<int64_t>& dead() const { return dead_; }
 
   /// Vectorized scan of row groups [group_begin, group_end) — the unit of
   /// parallelism (one row group = one morsel). Decodes `cols_needed`,
@@ -162,9 +175,6 @@ class ColumnStoreIndex {
   /// `need_locators` = false lets read-only scans skip decoding locator
   /// segments (they are still decoded when delete filtering requires it);
   /// ColumnBatch::locators is null in that case.
-  /// `delete_snapshot`, when non-null, is a caller-held delete-buffer
-  /// snapshot shared across the morsels of one scan (so a parallel scan
-  /// does not re-snapshot per row group); null snapshots internally.
   /// `key_filters`, when non-null, are join Bloom pre-filters evaluated
   /// on the decoded key column(s) after predicate/delete filtering and
   /// before any other column is gathered (each filter's column must be in
@@ -174,10 +184,18 @@ class ColumnStoreIndex {
                     const std::vector<SegPredicate>& preds,
                     const std::function<bool(const ColumnBatch&)>& fn,
                     QueryMetrics* m, bool need_locators = true,
-                    const std::unordered_set<int64_t>* delete_snapshot =
-                        nullptr,
                     const std::vector<ScanKeyFilter>* key_filters =
                         nullptr) const;
+
+  /// Scan of the pinned delta rows (queries must union this in). Every
+  /// column in `cols_needed`, `preds` and `key_filters` must have been
+  /// pinned. Locators are always emitted (delta rows carry them inline).
+  Status ScanDelta(const std::vector<int>& cols_needed,
+                   const std::vector<SegPredicate>& preds,
+                   const std::function<bool(const ColumnBatch&)>& fn,
+                   QueryMetrics* m,
+                   const std::vector<ScanKeyFilter>* key_filters =
+                       nullptr) const;
 
   /// Encoded-domain aggregate pushdown over row group `g` (Fig. 4
   /// single-column aggregates): COUNT = popcount of the selection bitmap,
@@ -194,35 +212,8 @@ class ColumnStoreIndex {
   /// accounting).
   bool TryPushdownAggregates(int g, const std::vector<SegPredicate>& preds,
                              std::span<const PushAggSpec> specs,
-                             PushAggState* acc,
-                             const std::unordered_set<int64_t>* delete_snapshot,
-                             QueryMetrics* m,
+                             PushAggState* acc, QueryMetrics* m,
                              uint64_t* rows_aggregated = nullptr) const;
-
-  /// Dense decoded image of one row group — the payload of a shared-scan
-  /// ring slot. One decode is produced by whichever consumer claims the
-  /// group; every attached consumer then evaluates its own predicates
-  /// against the dense arrays via ScanDecodedGroup.
-  struct DecodedGroup {
-    int group = -1;
-    size_t rows = 0;
-    /// Stored-column positions decoded, parallel to `values`.
-    std::vector<int> cols;
-    std::vector<std::vector<int64_t>> values;
-    /// Dense locator decode; empty when no consumer (and no delete
-    /// filtering) needs locators.
-    std::vector<int64_t> locators;
-    /// Decoded bytes this image represents (8 bytes × rows × arrays) —
-    /// what each additional consumer saves by not decoding privately.
-    uint64_t decode_bytes = 0;
-
-    const int64_t* column(int col) const {
-      for (size_t i = 0; i < cols.size(); ++i) {
-        if (cols[i] == col) return values[i].data();
-      }
-      return nullptr;
-    }
-  };
 
   /// Decode row group `g` densely (all rows, no predicate) into `out`,
   /// reusing its buffers. Touches the segments (I/O accounting) and
@@ -247,18 +238,103 @@ class ColumnStoreIndex {
                           const std::vector<SegPredicate>& preds,
                           const std::function<bool(const ColumnBatch&)>& fn,
                           QueryMetrics* m, bool need_locators,
-                          const std::unordered_set<int64_t>* delete_snapshot,
                           bool* stopped) const;
 
-  /// Row-mode scan of the delta store (queries must union this in).
-  /// `key_filters` follows ScanGroups semantics (delta rows carry every
-  /// column, so the filter column need not be in `cols_needed`).
-  Status ScanDelta(const std::vector<int>& cols_needed,
-                   const std::vector<SegPredicate>& preds,
-                   const std::function<bool(const ColumnBatch&)>& fn,
-                   QueryMetrics* m, bool need_locators = true,
-                   const std::vector<ScanKeyFilter>* key_filters =
-                       nullptr) const;
+  /// Every live row (row groups, then delta) as (locator, all stored
+  /// columns) — for maintenance paths that rebuild or sample a table. The
+  /// view must have been pinned with every column.
+  Status ForEachRow(const std::function<bool(int64_t, const int64_t*)>& fn,
+                    QueryMetrics* m) const;
+
+ private:
+  friend class ColumnStoreIndex;
+  CsiReadView() = default;
+
+  int ncols_ = 0;
+  BufferPool* pool_ = nullptr;
+  uint64_t version_ = 0;
+  std::shared_ptr<const CsiGroupList> groups_;
+  std::unordered_set<int64_t> dead_;
+  /// Pinned delta columns: delta_slot_[c] indexes delta_vals_ for stored
+  /// column c, or -1 when c was not pinned.
+  std::vector<int> delta_slot_;
+  std::vector<std::vector<int64_t>> delta_vals_;
+  std::vector<int64_t> delta_locs_;
+};
+
+using CsiViewPtr = std::shared_ptr<const CsiReadView>;
+
+class ColumnStoreIndex {
+ public:
+  enum class Kind { kPrimary, kSecondary };
+
+  /// `num_columns` stored columns (the table maps its schema onto them).
+  ColumnStoreIndex(Kind kind, int num_columns, BufferPool* pool,
+                   CsiOptions opts = CsiOptions());
+  /// Retracts this index's contribution to the process health gauges.
+  ~ColumnStoreIndex();
+
+  Kind kind() const { return kind_; }
+  int num_columns() const { return ncols_; }
+  const CsiOptions& options() const { return opts_; }
+
+  /// WAL rule plumbing (storage/wal.h): LSN of the last logged mutation
+  /// (delta insert / delete / reorg) applied to this index. Stamped by
+  /// catalog::Table; checked at checkpoint time.
+  uint64_t recovery_lsn() const { return recovery_lsn_; }
+  void set_recovery_lsn(uint64_t lsn) {
+    if (lsn > recovery_lsn_) recovery_lsn_ = lsn;
+  }
+
+  /// Pin a read view: shares the current row groups and delete bitmaps,
+  /// copies the delete-buffer locators, and materializes the delta rows'
+  /// `delta_cols` (stored-column positions) plus their locators. The
+  /// delete-buffer and delta reads are charged to `m`. The caller holds the
+  /// table latch (shared or exclusive) for the duration of the call only.
+  Result<CsiViewPtr> Pin(const std::vector<int>& delta_cols,
+                         QueryMetrics* m) const;
+  /// Pin a read view with every delta column.
+  Result<CsiViewPtr> Pin(QueryMetrics* m = nullptr) const;
+
+  /// Bulk load column-major data; `locators[i]` identifies row i in the
+  /// base table (RowId, or the row's own id when this is the primary).
+  void BulkLoad(std::vector<std::vector<int64_t>> cols,
+                std::vector<int64_t> locators);
+
+  /// Trickle-insert one row into the delta store, then close the delta
+  /// (CompressDelta) once it reaches CsiOptions::rowgroup_size rows or,
+  /// when the index has compressed rows, once its raw bytes exceed the
+  /// compressed row groups' bytes — so the delta never outweighs the
+  /// compressed data. A failed automatic delta flush does NOT fail the
+  /// insert — the delta simply stays resident (scans union it) and the
+  /// next insert retries.
+  Status Insert(std::span<const int64_t> row, int64_t locator,
+                QueryMetrics* m);
+
+  /// Statement-level delete of a set of locators. Secondary: append each
+  /// to the delete buffer. Primary: scan row-group locator segments to
+  /// find positions and set delete bitmap bits (the expensive path).
+  Status DeleteBatch(std::span<const int64_t> locators, QueryMetrics* m);
+
+  /// Latched point read (primary CSI): the live copy of the row with
+  /// `locator`, all stored columns into `out`. Pruned scan of the locator
+  /// segments, then the delta store. NotFound when absent.
+  Status FetchRow(int64_t locator, int64_t* out, QueryMetrics* m) const;
+
+  /// Number of live rows (compressed + delta - deleted).
+  uint64_t num_rows() const;
+  uint64_t compressed_rows() const { return compressed_rows_; }
+  uint64_t delta_rows() const { return delta_ ? delta_->num_entries() : 0; }
+  uint64_t delete_buffer_rows() const {
+    return delete_buffer_ ? delete_buffer_->num_entries() : 0;
+  }
+  int num_row_groups() const { return num_groups_; }
+
+  /// Compressed size (all row groups) plus delta/delete structures.
+  uint64_t size_bytes() const;
+  /// Compressed bytes of one stored column across row groups — the
+  /// per-column size the what-if API needs (Section 4.2).
+  uint64_t column_size_bytes(int col) const { return column_bytes_[col]; }
 
   /// Tuple mover: fold delta + delete buffer into compressed row groups.
   /// Fails (leaving the index fully queryable, reorganize deferred) when
@@ -280,14 +356,19 @@ class ColumnStoreIndex {
   /// no row resurrects) and compaction is deferred.
   Status CompactDeleteBuffer(QueryMetrics* m);
 
-  /// Snapshot the delete-buffer locators for a scan's anti-join (charged
-  /// as a delete-buffer B+ tree scan).
-  Status SnapshotDeleteBuffer(std::unordered_set<int64_t>* out,
-                              QueryMetrics* m) const;
-
  private:
+  /// Append row groups built from `cols`/`locators` and publish the list.
   void BuildGroups(std::vector<std::vector<int64_t>> cols,
                    std::vector<int64_t> locators);
+  /// Publish `list` as the row-group list (new version, counters).
+  void Publish(std::shared_ptr<const CsiGroupList> list);
+  /// Set the delete bit of every live row whose locator is in `*want`,
+  /// erasing each locator found. Bitmaps are copied before their first
+  /// change and the edited list is published, also on a mid-way failure.
+  Status MarkDeleted(std::unordered_set<int64_t>* want, QueryMetrics* m);
+  /// Snapshot the delete-buffer locators (charged as a B+ tree scan).
+  Status SnapshotDeleteBuffer(std::unordered_set<int64_t>* out,
+                              QueryMetrics* m) const;
 
   /// Uncompressed bytes of `rows` rows: stored columns + locator, 8 B each.
   uint64_t RawBytes(uint64_t rows) const { return rows * (ncols_ + 1) * 8; }
@@ -317,11 +398,18 @@ class ColumnStoreIndex {
   int ncols_;
   BufferPool* pool_;
   CsiOptions opts_;
-  std::vector<std::unique_ptr<RowGroup>> groups_;
+  /// The published row-group list. Replaced, never edited in place: views
+  /// pinned earlier keep the list (and the groups) they pinned.
+  std::shared_ptr<const CsiGroupList> groups_;
+  /// Row-group version (CsiReadView::version) of the published state;
+  /// bumped by every change to groups_ or the delete buffer.
+  uint64_t version_ = 0;
+  /// Size counters kept beside groups_, so stats readers never touch it.
+  int num_groups_ = 0;
   uint64_t compressed_rows_ = 0;
   uint64_t compressed_deleted_ = 0;
-  /// Sum of groups_[i]->size_bytes(), kept as groups are built.
   uint64_t compressed_bytes_ = 0;
+  std::vector<uint64_t> column_bytes_;
 
   /// Delta store: B+ tree keyed by insert sequence; payload = row cols +
   /// locator. The side map locates a delta row by locator in O(1) so

@@ -65,12 +65,10 @@ void RowGroup::Build(std::vector<std::vector<int64_t>> cols,
     segments_[c].Build(cols[c], pool);
   }
   locator_seg_.Build(locators, pool);
-  del_bits_.assign((n_ + 63) / 64, 0);
-  deleted_count_ = 0;
 }
 
 uint64_t RowGroup::size_bytes() const {
-  uint64_t b = locator_seg_.size_bytes() + del_bits_.size() * 8;
+  uint64_t b = locator_seg_.size_bytes() + (n_ + 63) / 64 * 8;
   for (const auto& s : segments_) b += s.size_bytes();
   return b;
 }

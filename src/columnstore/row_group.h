@@ -1,5 +1,7 @@
 // Row group: a horizontal slice of a columnstore index (100K–1M rows in
-// SQL Server), compressed column by column, plus its delete bitmap.
+// SQL Server), compressed column by column. Its delete bitmap lives beside
+// it (DeleteBitmap), so a built row group is immutable and read views can
+// share it.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,7 @@ struct CsiOptions {
   int sort_col = -1;
 };
 
-/// One compressed row group.
+/// One compressed row group. Immutable once built.
 class RowGroup {
  public:
   /// Build from column-major values (`cols[c]` has the same length for all
@@ -48,30 +50,41 @@ class RowGroup {
   const ColumnSegment& segment(int c) const { return segments_[c]; }
   const ColumnSegment& locator_segment() const { return locator_seg_; }
 
-  /// Delete bitmap handling (primary CSI path).
-  bool IsDeleted(size_t pos) const {
-    return (del_bits_[pos >> 6] >> (pos & 63)) & 1;
-  }
-  void SetDeleted(size_t pos) {
-    uint64_t& w = del_bits_[pos >> 6];
-    const uint64_t bit = 1ull << (pos & 63);
-    if (!(w & bit)) {
-      w |= bit;
-      ++deleted_count_;
-    }
-  }
-  uint64_t deleted_count() const { return deleted_count_; }
-  bool has_deletes() const { return deleted_count_ > 0; }
-
-  /// Total compressed bytes across segments (+ locator segment).
+  /// Total compressed bytes across segments (+ locator segment), plus the
+  /// group's delete bitmap (one bit per row, allocated or not).
   uint64_t size_bytes() const;
 
  private:
   size_t n_ = 0;
   std::vector<ColumnSegment> segments_;
   ColumnSegment locator_seg_;
-  std::vector<uint64_t> del_bits_;
-  uint64_t deleted_count_ = 0;
+};
+
+/// Delete bitmap of one row group (the primary CSI's delete path, and the
+/// target the secondary delete buffer compacts into). A bitmap published
+/// in a ColumnStoreIndex is never modified: a delete copies it, sets bits
+/// in the copy and publishes the copy, so a read view keeps the image it
+/// pinned.
+class DeleteBitmap {
+ public:
+  explicit DeleteBitmap(size_t rows) : bits_((rows + 63) / 64, 0) {}
+
+  bool IsDeleted(size_t pos) const {
+    return (bits_[pos >> 6] >> (pos & 63)) & 1;
+  }
+  void SetDeleted(size_t pos) {
+    uint64_t& w = bits_[pos >> 6];
+    const uint64_t bit = 1ull << (pos & 63);
+    if (!(w & bit)) {
+      w |= bit;
+      ++count_;
+    }
+  }
+  uint64_t count() const { return count_; }
+
+ private:
+  std::vector<uint64_t> bits_;
+  uint64_t count_ = 0;
 };
 
 }  // namespace hd

@@ -47,6 +47,7 @@ Status FailPoints::Evaluate(const char* name, QueryMetrics* m) {
   double sim_io_ms = 0;
   Code code = Code::kOk;
   std::string message;
+  std::function<void()> hook;
   {
     std::lock_guard<std::mutex> g(mu_);
     auto it = points_.find(name);
@@ -80,8 +81,10 @@ Status FailPoints::Evaluate(const char* name, QueryMetrics* m) {
     sim_io_ms = p.spec.sim_io_ms;
     code = p.spec.code;
     message = p.spec.message;
+    hook = p.spec.hook;
   }
   // Effects applied outside the registry lock.
+  if (hook) hook();
   if (latency_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(latency_ms));

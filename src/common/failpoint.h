@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <random>
@@ -51,6 +52,10 @@ struct FailSpec {
   /// Simulated I/O stall charged into the caller's QueryMetrics (only at
   /// sites that evaluate with a metrics block).
   double sim_io_ms = 0;
+  /// Run on the evaluating thread when the point fires, outside the
+  /// registry lock — a test's blocking hook that parks the caller at the
+  /// seam until the test lets it go (no sleeps).
+  std::function<void()> hook;
 
   static FailSpec Always(Code c, std::string msg = "injected fault") {
     FailSpec s;

@@ -1,34 +1,41 @@
-// Writer-preferring shared latch.
+// Writer-preferring shared latch: each table's phys_latch.
 //
 // std::shared_mutex on glibc is pthread_rwlock with READER preference: as
 // long as any reader holds the lock, new readers are admitted immediately,
 // so a writer can wait unboundedly when readers overlap continuously.
-// That is not a theoretical concern here — closed-loop analytic streams
-// (bench_fig6_mixed's side-streams, or any busy reporting client against
-// one table) hold the table's phys_latch shared nearly 100% of the time,
-// and every UPDATE needs it exclusive: with reader preference the
-// transactional stream starves outright (observed as a livelocked mixed
-// workload at full CPU).
-//
 // FairSharedMutex flips the policy: once a writer is waiting, new
 // lock_shared() callers block; current readers drain, the writer runs,
 // then the queued readers are admitted in a batch. Readers never starve
-// writers, writers never starve readers for longer than their own
-// critical sections. Acquisition cost is one mutex round-trip per
-// lock/unlock — fine for statement-granular latches, wrong for per-row
-// paths.
+// writers. Acquisition cost is one mutex round-trip per lock/unlock —
+// fine for statement-granular latches, wrong for per-row paths.
+//
+// How long readers hold it: a SELECT latches its tables only while it
+// reads them. A columnstore scan holds the latch just long enough to pin
+// the index's read view (columnstore.h), a hash join's build side until
+// the build is done, and B+ tree or heap reads until their scan ends;
+// nothing stays latched across aggregation, sort or result decoding
+// (DESIGN.md, "Latching and read views"). DML holds its base table's latch
+// exclusively for the statement.
+//
+// Wait telemetry: an acquisition that cannot proceed at once records its
+// wait in the `latch.wait_ns.shared` or `latch.wait_ns.exclusive`
+// histogram (docs/OBSERVABILITY.md). The uncontended path records
+// nothing, so its cost is unchanged.
 //
 // Meets the C++ SharedMutex named requirements, so std::shared_lock /
 // std::unique_lock / std::scoped_lock work unchanged.
 //
-// Deadlock note (same discipline as before the swap): statements acquire
-// multiple shared latches in one globally sorted order and DML takes
-// exactly one exclusive latch, so the waits-for graph stays acyclic even
-// though waiting writers now block incoming readers.
+// Deadlock note: statements acquire multiple shared latches in one
+// globally sorted order (and release them early in any order) and DML
+// takes exactly one exclusive latch, so the waits-for graph stays acyclic
+// even though waiting writers block incoming readers.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
+
+#include "common/telemetry.h"
 
 namespace hd {
 
@@ -40,9 +47,13 @@ class FairSharedMutex {
 
   void lock() {
     std::unique_lock<std::mutex> lk(mu_);
-    ++writers_waiting_;
-    gate_.wait(lk, [&] { return !writer_active_ && readers_ == 0; });
-    --writers_waiting_;
+    if (writer_active_ || readers_ != 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ++writers_waiting_;
+      gate_.wait(lk, [&] { return !writer_active_ && readers_ == 0; });
+      --writers_waiting_;
+      RecordWait(ExclusiveWaits(), t0);
+    }
     writer_active_ = true;
   }
 
@@ -66,7 +77,11 @@ class FairSharedMutex {
     // Blocking behind writers_waiting_ is the whole point: an arriving
     // reader yields to every queued writer, which bounds writer wait by
     // the in-flight readers' critical sections.
-    gate_.wait(lk, [&] { return !writer_active_ && writers_waiting_ == 0; });
+    if (writer_active_ || writers_waiting_ != 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      gate_.wait(lk, [&] { return !writer_active_ && writers_waiting_ == 0; });
+      RecordWait(SharedWaits(), t0);
+    }
     ++readers_;
   }
 
@@ -87,6 +102,23 @@ class FairSharedMutex {
   }
 
  private:
+  static THistogram* SharedWaits() {
+    static THistogram* h =
+        Telemetry::Instance().Histogram("latch.wait_ns.shared");
+    return h;
+  }
+  static THistogram* ExclusiveWaits() {
+    static THistogram* h =
+        Telemetry::Instance().Histogram("latch.wait_ns.exclusive");
+    return h;
+  }
+  static void RecordWait(THistogram* h,
+                         std::chrono::steady_clock::time_point t0) {
+    h->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count());
+  }
+
   std::mutex mu_;
   std::condition_variable gate_;
   int readers_ = 0;

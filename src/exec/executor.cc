@@ -536,8 +536,44 @@ struct Executor::Impl {
   bool wal_autocommit = false;
   bool wal_wrote = false;
 
+  /// Read view of each layout table the plan scans through a columnstore
+  /// (null for heap and B+ tree access), pinned by PinViews.
+  std::vector<CsiViewPtr> views;
+
+  /// A SELECT's shared table latches, taken in pointer order. `readers`
+  /// counts the layout tables that still read the table under its latch;
+  /// the latch is dropped when it reaches zero (DoneReading).
+  struct HeldLatch {
+    Table* table = nullptr;
+    std::shared_lock<FairSharedMutex> lock;
+    int readers = 0;
+  };
+  std::vector<HeldLatch> latches;
+  /// Layout tables still counted in their latch's `readers`.
+  std::vector<char> latched_read;
+
   Impl(const ExecContext& c, const Query& qq, const PhysicalPlan& p)
       : ctx(c), q(qq), plan(p) {}
+
+  /// Access path of layout table `ti`, and the join step scanning it (-1
+  /// for the base).
+  const AccessPath& PathOf(int ti, int* step = nullptr) const {
+    for (size_t s = 0; s < plan.joins.size(); ++s) {
+      if (plan.joins[s].join_idx + 1 != ti) continue;
+      if (step != nullptr) *step = static_cast<int>(s);
+      return plan.joins[s].dim_path;
+    }
+    if (step != nullptr) *step = -1;
+    return plan.base;
+  }
+  /// Pin a read view for every layout table the plan scans through a
+  /// columnstore. Runs under the table latches.
+  Status PinViews();
+  /// SELECT: latch every table in pointer order, pin the views, then drop
+  /// each latch no B+ tree or heap read still needs.
+  Status LatchAndPin();
+  /// Layout table `ti` has finished its latched reads.
+  void DoneReading(int ti);
 
   int dop() const {
     int d = plan.dop;
@@ -558,7 +594,8 @@ struct Executor::Impl {
     return -1;
   }
   Status RunSelect();
-  Status RunDml();
+  /// DML under the base table's exclusive `latch` (see LockUnderLatch).
+  Status RunDml(std::unique_lock<FairSharedMutex>* latch);
 
   /// Columns of layout table `ti` read downstream of its scan: aggregate
   /// arguments, GROUP BY, ORDER BY, the select list and join columns. DML
@@ -570,23 +607,19 @@ struct Executor::Impl {
   /// optional hook that answers row group `g` without decoding it
   /// (encoded-domain aggregate pushdown; returns false to fall back).
   struct CsiScan {
-    const ColumnStoreIndex* csi = nullptr;
+    CsiViewPtr view;
     std::vector<int> cols;
     std::vector<SegPredicate> preds;
     bool need_locators = false;
     bool shared = false;  // attach to the cooperative shared-scan pass
     std::vector<ScanKeyFilter> key_filters;
-    std::function<bool(int worker, int g,
-                       const std::unordered_set<int64_t>& dead,
-                       QueryMetrics* wm)>
-        pushdown;
+    std::function<bool(int worker, int g, QueryMetrics* wm)> pushdown;
   };
-  CsiScan MakeCsiScan(int ti, const ColumnStoreIndex* csi,
-                      const std::vector<BoundPred>& preds);
+  CsiScan MakeCsiScan(int ti, const std::vector<BoundPred>& preds);
 
-  /// The columnstore driver: runs `s` over its row groups and delta store
-  /// as a shared pass, serially, or as morsels over `nworkers`, with one
-  /// delete-buffer snapshot. `make_handler(worker)` returns the batch
+  /// The columnstore driver: runs `s` over its view's row groups and delta
+  /// rows as a shared pass, serially, or as morsels over `nworkers`. The
+  /// only reader of read views. `make_handler(worker)` returns the batch
   /// handler for one worker; a handler returning false stops the scan.
   using BatchFn = std::function<bool(const ColumnBatch&)>;
   Status DriveCsi(const CsiScan& s, int nworkers, QueryMetrics* m,
@@ -667,7 +700,14 @@ struct Executor::Impl {
   }
 
   Status AcquireReadLocks();
-  Status LockRowX(int64_t rid);
+  /// Take `mode` on `res` for the statement's transaction while `latch` is
+  /// held. A lock that is not free at once is waited for with the latch
+  /// released — the wait then shows in the lock manager's waits-for graph
+  /// instead of closing a cycle through the latch — and `*relatched` is
+  /// set: what the caller read under the latch may have changed.
+  Status LockUnderLatch(std::unique_lock<FairSharedMutex>* latch,
+                        const LockResource& res, LockMode mode,
+                        bool* relatched);
   void PayVersionCost(int64_t rid);
 };
 
@@ -781,7 +821,7 @@ Status Executor::Impl::PrepareJoins() {
     // counting-sort Build consumes.
     const int stride = dim->num_columns();
     const int bw =
-        rp.csi != nullptr && rp.csi->num_row_groups() > 1 ? dop() : 1;
+        views[ti] != nullptr && views[ti]->num_row_groups() > 1 ? dop() : 1;
     struct BuildPart {
       std::vector<int64_t> rows;
       std::vector<std::pair<int64_t, uint32_t>> pairs;
@@ -827,8 +867,73 @@ Status Executor::Impl::PrepareJoins() {
     hd.build_pairs.shrink_to_fit();
     m->cpu_ns += static_cast<uint64_t>(tbuild.ElapsedMs() * 1e6);
     joins.push_back(std::move(je));
+    DoneReading(ti);  // the build side is in memory now
   }
   return Status::OK();
+}
+
+Status Executor::Impl::PinViews() {
+  views.assign(L.tables.size(), nullptr);
+  if (q.kind == Query::Kind::kInsert) return Status::OK();  // scans nothing
+  // DML reads only its base table, the one it holds latched.
+  const size_t ntables = q.kind == Query::Kind::kSelect ? L.tables.size() : 1;
+  for (size_t ti = 0; ti < ntables; ++ti) {
+    int step = -1;
+    const AccessPath& path = PathOf(static_cast<int>(ti), &step);
+    if (!path.is_csi()) continue;
+    const Table& t = *L.tables[ti];
+    ResolvedPath rp;
+    HD_RETURN_IF_ERROR(ResolvePath(t, path, &rp));
+    // The delta rows are copied only for the columns this scan reads or
+    // filters on.
+    std::vector<int> cols = ColumnsRead(static_cast<int>(ti));
+    const std::vector<Pred>& preds =
+        ti == 0 ? q.base.preds : q.joins[ti - 1].dim.preds;
+    for (const BoundPred& p : BindPreds(t, preds)) {
+      if (std::find(cols.begin(), cols.end(), p.col) == cols.end()) {
+        cols.push_back(p.col);
+      }
+    }
+    QueryMetrics* m = step >= 0 ? OpM(opx.join[step]) : ScanM();
+    Result<CsiViewPtr> v = rp.csi->Pin(cols, m);
+    if (!v.ok()) return v.status();
+    views[ti] = v.take();
+  }
+  return Status::OK();
+}
+
+Status Executor::Impl::LatchAndPin() {
+  std::vector<Table*> order(L.tables);
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+  latches.reserve(order.size());
+  for (Table* t : order) {
+    latches.push_back(HeldLatch{t, std::shared_lock<FairSharedMutex>(
+                                       t->phys_latch()),
+                                0});
+  }
+  HD_RETURN_IF_ERROR(PinViews());
+  // A columnstore access reads only its pinned view from here on. Heap and
+  // B+ tree reads (base scan, hash build side, nested-loop inner, driving
+  // dimension) keep their table latched until DoneReading.
+  latched_read.assign(L.tables.size(), 0);
+  for (size_t ti = 0; ti < L.tables.size(); ++ti) {
+    if (views[ti] != nullptr) continue;
+    latched_read[ti] = 1;
+    for (HeldLatch& h : latches) h.readers += h.table == L.tables[ti];
+  }
+  std::erase_if(latches, [](const HeldLatch& h) { return h.readers == 0; });
+  return Status::OK();
+}
+
+void Executor::Impl::DoneReading(int ti) {
+  if (latched_read.empty() || !latched_read[ti]) return;
+  latched_read[ti] = 0;
+  for (auto it = latches.begin(); it != latches.end(); ++it) {
+    if (it->table != L.tables[ti]) continue;
+    if (--it->readers == 0) latches.erase(it);
+    return;
+  }
 }
 
 Status Executor::Impl::AcquireReadLocks() {
@@ -839,14 +944,19 @@ Status Executor::Impl::AcquireReadLocks() {
                                     ctx.txn->age());
 }
 
-Status Executor::Impl::LockRowX(int64_t rid) {
-  HD_RETURN_IF_ERROR(ctx.txns->locks()->Acquire(
-      ctx.txn->id(), LockResource{table_hash}, LockMode::kIX,
-      ctx.lock_timeout_ms, ctx.txn->age()));
-  return ctx.txns->locks()->Acquire(ctx.txn->id(),
-                                    LockResource{table_hash, rid},
-                                    LockMode::kX, ctx.lock_timeout_ms,
-                                    ctx.txn->age());
+Status Executor::Impl::LockUnderLatch(std::unique_lock<FairSharedMutex>* latch,
+                                      const LockResource& res, LockMode mode,
+                                      bool* relatched) {
+  LockManager* locks = ctx.txns->locks();
+  bool granted = false;
+  HD_RETURN_IF_ERROR(locks->TryAcquire(ctx.txn->id(), res, mode, &granted));
+  if (granted) return Status::OK();
+  latch->unlock();
+  Status s = locks->Acquire(ctx.txn->id(), res, mode, ctx.lock_timeout_ms,
+                            ctx.txn->age());
+  latch->lock();
+  *relatched = true;
+  return s;
 }
 
 void Executor::Impl::PayVersionCost(int64_t rid) {
@@ -861,9 +971,9 @@ void Executor::Impl::PayVersionCost(int64_t rid) {
 // ---------------------------------------------------------------------
 
 Executor::Impl::CsiScan Executor::Impl::MakeCsiScan(
-    int ti, const ColumnStoreIndex* csi, const std::vector<BoundPred>& preds) {
+    int ti, const std::vector<BoundPred>& preds) {
   CsiScan s;
-  s.csi = csi;
+  s.view = views[ti];
   s.cols = ColumnsRead(ti);
   s.preds = ToSegPreds(preds);
   if (ti != 0) return s;
@@ -891,14 +1001,10 @@ Status Executor::Impl::DriveCsi(
   for (const auto& p : s.preds) {
     if (p.lo > p.hi) return Status::OK();  // impossible predicate
   }
-  const ColumnStoreIndex* csi = s.csi;
+  const CsiReadView& view = *s.view;
   const std::vector<ScanKeyFilter>* kfp =
       s.key_filters.empty() ? nullptr : &s.key_filters;
-  // The shared pass snapshots deletes itself; private scans take one
-  // snapshot shared by all their row groups.
-  std::unordered_set<int64_t> dead;
-  if (!s.shared) HD_RETURN_IF_ERROR(csi->SnapshotDeleteBuffer(&dead, m));
-  const int ngroups = csi->num_row_groups();
+  const int ngroups = view.num_row_groups();
   std::atomic<bool> stop{false};
   auto stopping = [&stop](BatchFn inner) -> BatchFn {
     return [&stop, inner = std::move(inner)](const ColumnBatch& b) {
@@ -907,22 +1013,23 @@ Status Executor::Impl::DriveCsi(
       return false;
     };
   };
-  // Row groups [gb, ge) for worker w; gb < 0 selects the delta store
-  // (row-mode, cheap, never shared).
+  // Row groups [gb, ge) for worker w; gb < 0 selects the delta rows
+  // (never shared).
   auto scan = [&](int w, int gb, int ge, QueryMetrics* wm) -> Status {
     if (stop.load(std::memory_order_relaxed)) return Status::OK();
+    // Seam inside the scan, after every latch a columnstore-only statement
+    // gives up: tests park a scan here and write to the table meanwhile.
+    HD_RETURN_IF_ERROR(EvalFailPoint("exec.csi_scan", wm));
     const BatchFn fn = stopping(make_handler(w));
-    if (gb < 0) {
-      return csi->ScanDelta(s.cols, s.preds, fn, wm, s.need_locators, kfp);
-    }
+    if (gb < 0) return view.ScanDelta(s.cols, s.preds, fn, wm, kfp);
     if (!s.pushdown) {
-      return csi->ScanGroups(gb, ge, s.cols, s.preds, fn, wm, s.need_locators,
-                             &dead, kfp);
+      return view.ScanGroups(gb, ge, s.cols, s.preds, fn, wm, s.need_locators,
+                             kfp);
     }
     for (int g = gb; g < ge; ++g) {
-      if (s.pushdown(w, g, dead, wm)) continue;
-      HD_RETURN_IF_ERROR(csi->ScanGroups(g, g + 1, s.cols, s.preds, fn, wm,
-                                         s.need_locators, &dead, kfp));
+      if (s.pushdown(w, g, wm)) continue;
+      HD_RETURN_IF_ERROR(view.ScanGroups(g, g + 1, s.cols, s.preds, fn, wm,
+                                         s.need_locators, kfp));
     }
     return Status::OK();
   };
@@ -938,7 +1045,7 @@ Status Executor::Impl::DriveCsi(
         });
   }
   Timer t;
-  Status st = s.shared ? ctx.scan_scheduler->Scan(csi, s.cols, s.preds,
+  Status st = s.shared ? ctx.scan_scheduler->Scan(s.view, s.cols, s.preds,
                                                   stopping(make_handler(0)), m,
                                                   s.need_locators)
                        : scan(0, 0, ngroups, m);
@@ -1046,7 +1153,7 @@ Status Executor::Impl::ScanTable(int ti, const AccessPath& path,
           });
     }
     case AccessPath::Kind::kCsiScan: {
-      const CsiScan s = MakeCsiScan(ti, rp.csi, preds);
+      const CsiScan s = MakeCsiScan(ti, preds);
       std::vector<PackedRow> rows(nworkers, PackedRow(ncols));
       return DriveCsi(s, nworkers, m, label, [&](int w) -> BatchFn {
         return [&, w](const ColumnBatch& b) {
@@ -1106,8 +1213,6 @@ constexpr uint32_t kSpilledRow = UINT32_MAX;
 
 Status Executor::Impl::RunSelect() {
   QueryMetrics* m = &res.metrics;
-
-  HD_RETURN_IF_ERROR(AcquireReadLocks());
 
   HD_RETURN_IF_ERROR(PrepareJoins());
 
@@ -1429,6 +1534,7 @@ Status Executor::Impl::RunSelect() {
           return true;
         }));
     HD_RETURN_IF_ERROR(TakeSideError());
+    DoneReading(ti);
     const EntryDecoder dec(*base, base_rp, ColumnsRead(0), base_preds);
     QueryMetrics* sm = ScanM();
     int64_t* wide = wide_bufs[0].data();
@@ -1474,7 +1580,7 @@ Status Executor::Impl::RunSelect() {
     // -> PK takes the 1-match fast path. No wide row exists until the
     // consume boundary, where only rows that survived EVERY step gather
     // their dim payloads and remaining base columns.
-    const CsiScan scan = MakeCsiScan(0, base_rp.csi, base_preds);
+    const CsiScan scan = MakeCsiScan(0, base_preds);
     const std::vector<int>& cols = scan.cols;
     const int ncneed = static_cast<int>(cols.size());
     std::vector<int> colslot(base->num_columns(), -1);
@@ -1568,7 +1674,7 @@ Status Executor::Impl::RunSelect() {
     // Grouped aggregation directly over decoded batches: no wide-row
     // materialization, reusable key buffer, per-worker maps (merged in the
     // finish phase), grace-spill past the grant.
-    const CsiScan scan = MakeCsiScan(0, base_rp.csi, base_preds);
+    const CsiScan scan = MakeCsiScan(0, base_preds);
     std::vector<int> slot_of_col(base->num_columns(), -1);
     for (size_t i = 0; i < scan.cols.size(); ++i) slot_of_col[scan.cols[i]] = i;
     std::vector<int> group_cis;  // batch column index per group col
@@ -1695,7 +1801,7 @@ Status Executor::Impl::RunSelect() {
     scan_status =
         DriveCsi(scan, nworkers, ScanM(), ops[opx.scan].name, make_handler);
   } else if (fast_agg) {
-    CsiScan scan = MakeCsiScan(0, base_rp.csi, base_preds);
+    CsiScan scan = MakeCsiScan(0, base_preds);
     std::vector<int> slot_of_col(base->num_columns(), -1);
     for (size_t i = 0; i < scan.cols.size(); ++i) slot_of_col[scan.cols[i]] = i;
     // Map the aggregate list onto encoded-domain pushdown specs. All-or-
@@ -1729,11 +1835,10 @@ Status Executor::Impl::RunSelect() {
       pushed_rows.assign(nworkers, 0);
       // A row group answered entirely in the encoded domain never reaches
       // the decode handler (Fig. 4 aggregate pushdown).
-      scan.pushdown = [&](int w, int g, const std::unordered_set<int64_t>& dead,
-                          QueryMetrics* wm) {
+      scan.pushdown = [&](int w, int g, QueryMetrics* wm) {
         uint64_t pr = 0;
-        if (!scan.csi->TryPushdownAggregates(g, scan.preds, pspecs,
-                                             pacc[w].data(), &dead, wm, &pr)) {
+        if (!scan.view->TryPushdownAggregates(g, scan.preds, pspecs,
+                                              pacc[w].data(), wm, &pr)) {
           return false;
         }
         pushed_rows[w] += pr;
@@ -1847,6 +1952,8 @@ Status Executor::Impl::RunSelect() {
   // Errors recorded inside scan callbacks (lock timeouts, fetch I/O, NL
   // probes) stopped the scan via `return false`; surface them now.
   HD_RETURN_IF_ERROR(TakeSideError());
+  // Every table read is done: merge, sort and decode run unlatched.
+  latches.clear();
 
   if (!plan.base.is_csi()) {
     // Row-mode probe overhead, charged per join step from its inflow.
@@ -2174,7 +2281,7 @@ Status Executor::Impl::RunSelect() {
 // DML execution.
 // ---------------------------------------------------------------------
 
-Status Executor::Impl::RunDml() {
+Status Executor::Impl::RunDml(std::unique_lock<FairSharedMutex>* latch) {
   // Mutation work is attributed to the DML root node; the qualifying scan
   // charges flow through ScanTable to the scan node.
   QueryMetrics* m = OpM(opx.output);
@@ -2193,14 +2300,23 @@ Status Executor::Impl::RunDml() {
     wal_wrote = true;
     if (ctx.txn != nullptr) ctx.txn->MarkWalWrite();
   };
+  const bool locking = ctx.txn != nullptr && ctx.txns != nullptr;
+  bool relatched = false;
   if (q.kind == Query::Kind::kInsert) {
+    // The table intent lock comes first, before any row is inserted; an
+    // insert reads nothing a relatch could invalidate.
+    if (locking) {
+      HD_RETURN_IF_ERROR(LockUnderLatch(latch, LockResource{table_hash},
+                                        LockMode::kIX, &relatched));
+    }
     for (const auto& vr : q.insert_rows) {
       PackedRow p = base->PackRow(vr);
       int64_t rid = -1;
       mark_wal_write();  // even a failed insert logs its compensation
       HD_RETURN_IF_ERROR(base->InsertPacked(p, m, &rid, wal_txn));
-      if (ctx.txn != nullptr && ctx.txns != nullptr) {
-        HD_RETURN_IF_ERROR(LockRowX(rid));
+      if (locking) {
+        HD_RETURN_IF_ERROR(LockUnderLatch(latch, LockResource{table_hash, rid},
+                                          LockMode::kX, &relatched));
         ctx.txns->NoteVersion(table_hash, rid, ctx.txn);
       }
       ++res.affected_rows;
@@ -2212,29 +2328,40 @@ Status Executor::Impl::RunDml() {
     return Status::OK();
   }
 
-  // UPDATE / DELETE: collect qualifying rows (TOP N), then mutate.
+  // UPDATE / DELETE: collect qualifying rows (TOP N), lock them, then
+  // mutate. A lock that had to be waited for released the latch, so the
+  // rows are collected again under the new latch hold; the locks already
+  // taken are kept and granted again at once.
   const int64_t topn = q.limit >= 0 ? q.limit : INT64_MAX;
   std::vector<RowRef> refs;
   Timer t;
-  Status s = ScanTable(0, plan.base, base_preds, 1, ScanM(), ops[opx.scan].name,
-                       [&](int, int64_t rid, const int64_t* row) {
-                         RowRef r;
-                         r.rid = rid;
-                         r.row.assign(row, row + base->num_columns());
-                         refs.push_back(std::move(r));
-                         return static_cast<int64_t>(refs.size()) < topn;
-                       });
-  HD_RETURN_IF_ERROR(s);
-  HD_RETURN_IF_ERROR(TakeSideError());
+  do {
+    if (relatched) HD_RETURN_IF_ERROR(PinViews());
+    relatched = false;
+    refs.clear();
+    Status s = ScanTable(
+        0, plan.base, base_preds, 1, ScanM(), ops[opx.scan].name,
+        [&](int, int64_t rid, const int64_t* row) {
+          RowRef r;
+          r.rid = rid;
+          r.row.assign(row, row + base->num_columns());
+          refs.push_back(std::move(r));
+          return static_cast<int64_t>(refs.size()) < topn;
+        });
+    HD_RETURN_IF_ERROR(s);
+    HD_RETURN_IF_ERROR(TakeSideError());
+    if (!locking || refs.empty()) break;
+    HD_RETURN_IF_ERROR(LockUnderLatch(latch, LockResource{table_hash},
+                                      LockMode::kIX, &relatched));
+    for (size_t i = 0; i < refs.size() && !relatched; ++i) {
+      HD_RETURN_IF_ERROR(LockUnderLatch(latch,
+                                        LockResource{table_hash, refs[i].rid},
+                                        LockMode::kX, &relatched));
+    }
+  } while (relatched);
   m->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6);
   if (opx.scan >= 0) ops[opx.scan].rows_out = refs.size();
   if (opx.output >= 0) ops[opx.output].rows_in = refs.size();
-
-  if (ctx.txn != nullptr && ctx.txns != nullptr) {
-    for (const auto& r : refs) {
-      HD_RETURN_IF_ERROR(LockRowX(r.rid));
-    }
-  }
 
   Timer t2;
   if (!refs.empty()) mark_wal_write();
@@ -2351,21 +2478,21 @@ QueryResult Executor::Execute(const Query& q, const PhysicalPlan& plan) {
   }
   Status s = impl.Setup();
   if (s.ok()) {
-    // Physical latches: shared for reads, exclusive on the base for DML.
-    // Tables are latched in pointer order to avoid latch deadlocks.
-    std::vector<Table*> latch_order(impl.L.tables);
-    std::sort(latch_order.begin(), latch_order.end());
-    latch_order.erase(std::unique(latch_order.begin(), latch_order.end()),
-                      latch_order.end());
+    // Physical latches: shared for reads, held per table only while the
+    // statement reads that table (LatchAndPin, DoneReading); exclusive on
+    // the base for the whole of a DML statement.
     if (q.kind == Query::Kind::kSelect) {
-      std::vector<std::shared_lock<FairSharedMutex>> latches;
-      latches.reserve(latch_order.size());
-      for (Table* t : latch_order) latches.emplace_back(t->phys_latch());
-      s = impl.RunSelect();
+      // The table lock is taken before any latch, so its wait never holds
+      // one (LockUnderLatch does the same for DML).
+      s = impl.AcquireReadLocks();
+      if (s.ok()) s = impl.LatchAndPin();
+      if (s.ok()) s = impl.RunSelect();
+      impl.latches.clear();
     } else {
       {
         std::unique_lock<FairSharedMutex> latch(impl.base->phys_latch());
-        s = impl.RunDml();
+        s = impl.PinViews();
+        if (s.ok()) s = impl.RunDml(&latch);
       }
       // Autocommit durability point, deliberately outside the exclusive
       // latch: in group mode this parks for the batch fsync, and nothing

@@ -18,7 +18,7 @@ struct ScanScheduler::Slot {
   uint64_t seq = 0;
   int pending = 0;
   const Consumer* decoder = nullptr;
-  ColumnStoreIndex::DecodedGroup data;
+  DecodedGroup data;
 };
 
 struct ScanScheduler::Consumer {
@@ -39,15 +39,13 @@ struct ScanScheduler::Consumer {
 struct ScanScheduler::Pass {
   std::mutex mu;
   std::condition_variable cv;
-  const ColumnStoreIndex* csi = nullptr;
+  /// The starting consumer's view: every decode and every consumer's
+  /// predicate and delete filtering read this image.
+  CsiViewPtr view;
   int ngroups = 0;
   uint64_t next_claim = 0;  // next seq any consumer may claim for decode
   std::vector<Slot> ring;
   std::vector<Consumer*> consumers;
-  /// Delete-buffer snapshot taken once at pass creation — sound because
-  /// every consumer's statement holds the table's shared phys_latch, so
-  /// the buffer cannot change while the pass is alive.
-  std::unordered_set<int64_t> dead;
   int active = 0;
   Status broken = Status::OK();  // first decode failure; fails the pass
 };
@@ -73,8 +71,7 @@ size_t ScanScheduler::active_passes() const {
   return passes_.size();
 }
 
-void ScanScheduler::Detach(const std::shared_ptr<Pass>& pass, Consumer* me,
-                           const ColumnStoreIndex* csi) {
+void ScanScheduler::Detach(const std::shared_ptr<Pass>& pass, Consumer* me) {
   std::lock_guard<std::mutex> lk(mu_);
   std::lock_guard<std::mutex> plk(pass->mu);
   // Release this consumer's stake in every claimed-but-unconsumed slot of
@@ -93,18 +90,18 @@ void ScanScheduler::Detach(const std::shared_ptr<Pass>& pass, Consumer* me,
       pass->consumers.end());
   pass->active--;
   if (pass->active == 0) {
-    auto it = passes_.find(csi);
+    auto it = passes_.find(pass->view->version());
     if (it != passes_.end() && it->second == pass) passes_.erase(it);
   }
   pass->cv.notify_all();
 }
 
-Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
+Status ScanScheduler::Scan(const CsiViewPtr& view,
                            const std::vector<int>& cols_needed,
                            const std::vector<SegPredicate>& preds,
                            const std::function<bool(const ColumnBatch&)>& fn,
                            QueryMetrics* m, bool need_locators) {
-  const int ngroups = csi->num_row_groups();
+  const int ngroups = view->num_row_groups();
   if (ngroups == 0) return Status::OK();
 
   static TCounter* c_attaches =
@@ -130,7 +127,7 @@ Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
   std::shared_ptr<Pass> pass;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    std::shared_ptr<Pass>& entry = passes_[csi];
+    std::shared_ptr<Pass>& entry = passes_[view->version()];
     bool fresh = false;
     if (entry != nullptr) {
       std::lock_guard<std::mutex> plk(entry->mu);
@@ -145,14 +142,9 @@ Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
     pass = entry;
     std::lock_guard<std::mutex> plk(pass->mu);
     if (fresh) {
-      pass->csi = csi;
+      pass->view = view;
       pass->ngroups = ngroups;
       pass->ring.resize(static_cast<size_t>(opts_.ring_slots));
-      Status s = csi->SnapshotDeleteBuffer(&pass->dead, m);
-      if (!s.ok()) {
-        passes_.erase(csi);
-        return s;
-      }
       passes_started_++;
       c_passes->Add(1);
     }
@@ -166,6 +158,7 @@ Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
   c_attaches->Add(1);
   if (m != nullptr) m->shared_scan_attaches += 1;
 
+  const CsiReadView& pv = *pass->view;
   const size_t nring = pass->ring.size();
   Status result = Status::OK();
   std::unique_lock<std::mutex> lk(pass->mu);
@@ -199,10 +192,9 @@ Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
           }
         }
       }
-      want_locs |= !pass->dead.empty() || csi->row_group(group).has_deletes();
+      want_locs |= !pv.dead().empty() || pv.group(group).has_deletes();
       lk.unlock();
-      Status ds = csi->DecodeGroupDense(group, union_cols, want_locs,
-                                        &sl.data, m);
+      Status ds = pv.DecodeGroupDense(group, union_cols, want_locs, &sl.data, m);
       lk.lock();
       if (!ds.ok()) {
         pass->broken = ds;
@@ -219,7 +211,7 @@ Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
         sl.state == Slot::State::kReady) {
       // Consume: evaluate our predicates against the shared image.
       const bool shared_decode = sl.decoder != &me;
-      ColumnStoreIndex::DecodedGroup& dg = sl.data;
+      DecodedGroup& dg = sl.data;
       lk.unlock();
       Status cs = EvalFailPoint("csi.shared_consume", m);
       bool stopped = false;
@@ -232,8 +224,8 @@ Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
           c_segs->Add(nsegs);
           c_saved->Add(dg.rows * sizeof(int64_t) * me.cols.size());
         }
-        cs = csi->ScanDecodedGroup(dg, me.cols, preds, fn, m,
-                                   me.need_locators, &pass->dead, &stopped);
+        cs = pv.ScanDecodedGroup(dg, me.cols, preds, fn, m, me.need_locators,
+                                 &stopped);
       }
       lk.lock();
       sl.pending--;
@@ -255,7 +247,7 @@ Status ScanScheduler::Scan(const ColumnStoreIndex* csi,
     pass->cv.wait(lk);
   }
   lk.unlock();
-  Detach(pass, &me, csi);
+  Detach(pass, &me);
   return result;
 }
 

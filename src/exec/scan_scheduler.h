@@ -12,11 +12,14 @@
 // pass position at attach, consumes groups in circular order, and detaches
 // after a full wrap — so N concurrent queries pay ~1× decode instead of N×.
 //
-// Correctness: the executor holds the table's shared phys_latch for the
-// whole statement, so row groups, delete bitmaps and the delete buffer
-// cannot change while any consumer is attached; the pass snapshots the
-// delete buffer once at creation. The delta store is NOT part of the pass —
-// each consumer scans it privately after its wrap (row-mode, cheap).
+// Correctness: every consumer scans its own pinned CsiReadView, and a pass
+// decodes from the view of the consumer that started it. A consumer
+// attaches only to a pass whose view has the same row-group version as its
+// own — the same row groups, delete bitmaps and delete-buffer locators —
+// so a shared image is exactly what its private scan would have decoded.
+// A consumer whose view is newer (or older) starts its own pass. No latch
+// is held while a pass runs. The delta store is NOT part of the pass —
+// each consumer scans its own view's delta rows after its wrap.
 #pragma once
 
 #include <condition_variable>
@@ -25,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "columnstore/columnstore.h"
@@ -51,16 +53,15 @@ class ScanScheduler {
   ScanScheduler(const ScanScheduler&) = delete;
   ScanScheduler& operator=(const ScanScheduler&) = delete;
 
-  /// Scan every row group of `csi` through the shared pass for that index
-  /// (joining the in-flight pass when one exists, starting one otherwise).
-  /// Semantically equivalent to
-  ///   csi->ScanGroups(0, csi->num_row_groups(), ...)
+  /// Scan every row group of `view` through the shared pass for its
+  /// row-group version (joining the in-flight pass when one exists,
+  /// starting one otherwise). Semantically equivalent to
+  ///   view->ScanGroups(0, view->num_row_groups(), ...)
   /// except batches may arrive in circular (not ascending) group order and
   /// may carry ColumnBatch::sel. Blocks until this consumer has seen every
   /// group (or `fn` returned false / an error occurred). The caller must
-  /// hold the table's shared phys_latch and must scan the delta store
-  /// itself afterwards.
-  Status Scan(const ColumnStoreIndex* csi, const std::vector<int>& cols_needed,
+  /// scan the view's delta rows itself afterwards.
+  Status Scan(const CsiViewPtr& view, const std::vector<int>& cols_needed,
               const std::vector<SegPredicate>& preds,
               const std::function<bool(const ColumnBatch&)>& fn,
               QueryMetrics* m, bool need_locators);
@@ -83,12 +84,12 @@ class ScanScheduler {
   /// Detach `me` from `pass`: release claimed-but-unconsumed slots in its
   /// window, drop it from the consumer list, erase the pass when it was
   /// the last consumer.
-  void Detach(const std::shared_ptr<Pass>& pass, Consumer* me,
-              const ColumnStoreIndex* csi);
+  void Detach(const std::shared_ptr<Pass>& pass, Consumer* me);
 
   ScanSchedulerOptions opts_;
   mutable std::mutex mu_;  // guards passes_; ordered before Pass::mu
-  std::map<const ColumnStoreIndex*, std::shared_ptr<Pass>> passes_;
+  /// In-flight passes by row-group version (unique across indexes).
+  std::map<uint64_t, std::shared_ptr<Pass>> passes_;
   uint64_t passes_started_ = 0;
   uint64_t attaches_ = 0;
 };

@@ -165,13 +165,15 @@ Status Server::Start() {
 void Server::Stop() {
   if (!running_.exchange(false)) return;
   stop_.store(true);
-  // Unblock accept(): shutdown + close the listener.
+  // Wake AcceptLoop's poll() with shutdown, join it, and only then close
+  // the listener: closing first would let the fd number be reused while
+  // the loop still polls it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& w : workers_) {
     w->Wake();
     if (w->thread.joinable()) w->thread.join();

@@ -220,6 +220,35 @@ Status LockManager::Acquire(uint64_t txn_id, const LockResource& res,
   return Status::OK();
 }
 
+Status LockManager::TryAcquire(uint64_t txn_id, const LockResource& res,
+                               LockMode mode, bool* granted) {
+  *granted = false;
+  HD_FAILPOINT_RETURN("lockmgr.acquire");
+  Shard& sh = ShardFor(res);
+  std::lock_guard<std::mutex> g(sh.mu);
+  auto lit = sh.locks.find(res);
+  if (lit != sh.locks.end()) {
+    const LockState& cur = lit->second;
+    auto held = cur.granted.find(txn_id);
+    if (held != cur.granted.end() &&
+        Strength(held->second) >= Strength(mode)) {
+      *granted = true;
+      return Status::OK();
+    }
+    if (!CanGrant(cur, txn_id, mode, next_ticket_.load())) {
+      return Status::OK();  // must wait; leaves no entry behind
+    }
+  }
+  LockState& st = sh.locks[res];
+  auto it = st.granted.find(txn_id);
+  Stats().grants->Add(1);
+  const bool upgrade = it != st.granted.end();
+  st.granted[txn_id] = mode;
+  if (!upgrade) sh.held[txn_id].push_back(res);
+  *granted = true;
+  return Status::OK();
+}
+
 void LockManager::Release(uint64_t txn_id, const LockResource& res) {
   Shard& sh = ShardFor(res);
   std::lock_guard<std::mutex> g(sh.mu);

@@ -56,6 +56,13 @@ class LockManager {
   Status Acquire(uint64_t txn_id, const LockResource& res, LockMode mode,
                  int timeout_ms = 200, uint64_t age = 0);
 
+  /// Take the lock only if it can be granted at once (behind no earlier
+  /// incompatible waiter); `*granted` says whether it was. Never waits, so
+  /// a caller holding a latch can try first and wait (Acquire) only after
+  /// releasing the latch. Evaluates the `lockmgr.acquire` failpoint as
+  /// Acquire does.
+  Status TryAcquire(uint64_t txn_id, const LockResource& res, LockMode mode,
+                    bool* granted);
   /// Release one resource held by `txn_id`.
   void Release(uint64_t txn_id, const LockResource& res);
 

@@ -103,6 +103,38 @@ TEST_F(BTreeTest, InsertAndSplit) {
   EXPECT_EQ(it, ref.end());
 }
 
+// Ascending inserts (a delta store's sequence) fill every leaf: a split
+// past the last key starts an empty right sibling instead of halving.
+// Interleaved ascending runs (one per district) fill them too.
+TEST_F(BTreeTest, AscendingInsertsFillLeaves) {
+  const int cap = static_cast<int>(kPageBytes / 16);  // 1-key, 1-payload
+  for (int runs : {1, 4}) {
+    BTree t(2, 0, &pool_);
+    const int64_t per_run = 20 * cap;
+    for (int64_t i = 0; i < per_run; ++i) {
+      for (int64_t r = 0; r < runs; ++r) {
+        const int64_t key[2] = {r, i};
+        ASSERT_TRUE(t.Insert(key, {}, nullptr).ok());
+      }
+    }
+    const uint64_t leaves_needed = (runs * per_run + cap - 1) / cap;
+    // Halving splits would leave ~2x the leaves; allow one partial leaf
+    // per run plus the internal nodes.
+    EXPECT_LE(t.num_nodes(), leaves_needed + runs + 4) << runs << " runs";
+    int64_t seen = 0, prev_r = 0, prev_i = -1;
+    t.Scan(Bound::Unbounded(), Bound::Unbounded(),
+           [&](const int64_t* k, const int64_t*) {
+             EXPECT_TRUE(k[0] > prev_r || (k[0] == prev_r && k[1] == prev_i + 1));
+             if (k[0] != prev_r) prev_r = k[0];
+             prev_i = k[1];
+             ++seen;
+             return true;
+           },
+           nullptr);
+    EXPECT_EQ(seen, runs * per_run);
+  }
+}
+
 TEST_F(BTreeTest, DuplicateInsertRejected) {
   BTree t(1, 1, &pool_);
   t.BulkLoad({});

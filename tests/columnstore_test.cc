@@ -203,8 +203,9 @@ class CsiTest : public ::testing::Test {
       count += b.count;
       return true;
     };
-    csi->ScanGroups(0, csi->num_row_groups(), {0, 1}, preds, fn, m);
-    csi->ScanDelta({0, 1}, preds, fn, m);
+    const CsiViewPtr view = csi->Pin(m).value();
+    view->ScanGroups(0, view->num_row_groups(), {0, 1}, preds, fn, m);
+    view->ScanDelta({0, 1}, preds, fn, m);
     return count;
   }
 
@@ -252,7 +253,7 @@ TEST_F(CsiTest, PrimaryDeleteUsesDeleteBitmap) {
   QueryMetrics m;
   ASSERT_TRUE(csi->DeleteBatch(locs, &m).ok());
   EXPECT_EQ(csi->delete_buffer_rows(), 0u);  // no delete buffer on primary
-  EXPECT_EQ(csi->row_group(0).deleted_count(), 3u);
+  EXPECT_EQ(csi->Pin().value()->group(0).deleted_count(), 3u);
   EXPECT_EQ(CountScan(csi.get(), {}), 9997u);
   // The delete had to decode locator segments (expensive path).
   EXPECT_GT(m.segments_scanned.load(), 0u);
@@ -330,13 +331,14 @@ TEST_F(CsiTest, SortedColumnstoreSkipsAggressively) {
     count += b.count;
     return true;
   };
-  csi.ScanGroups(0, csi.num_row_groups(), {0, 1}, {{0, 500000, 500999}}, fn,
-                 &m);
+  const CsiViewPtr view = csi.Pin().value();
+  view->ScanGroups(0, view->num_row_groups(), {0, 1}, {{0, 500000, 500999}},
+                   fn, &m);
   EXPECT_EQ(count, static_cast<uint64_t>(expect));
   // Sorted segments: nearly every group skipped.
   EXPECT_GT(m.segments_skipped.load(), 8u);
   // Locators still identify the original rows (round trip via col1 == loc).
-  csi.ScanGroups(0, 2, {1}, {},
+  view->ScanGroups(0, 2, {1}, {},
                  [&](const ColumnBatch& b) {
                    for (int i = 0; i < b.count; ++i) {
                      EXPECT_EQ(b.cols[0][i], b.locators[i]);
@@ -367,9 +369,10 @@ TEST_F(CsiTest, SortedColumnstoreSurvivesReorganize) {
   }
   csi.Reorganize();
   int64_t prev_max = INT64_MIN;
-  for (int g = 0; g < csi.num_row_groups(); ++g) {
-    EXPECT_GE(csi.row_group(g).segment(0).min_value(), prev_max);
-    prev_max = csi.row_group(g).segment(0).max_value();
+  const CsiViewPtr view = csi.Pin().value();
+  for (int g = 0; g < view->num_row_groups(); ++g) {
+    EXPECT_GE(view->group(g).rows->segment(0).min_value(), prev_max);
+    prev_max = view->group(g).rows->segment(0).max_value();
   }
   EXPECT_EQ(csi.num_rows(), 10100u);
 }
@@ -393,17 +396,19 @@ Census TakeCensus(const ColumnStoreIndex& csi) {
     }
     return true;
   };
+  const CsiViewPtr view = csi.Pin().value();
   EXPECT_TRUE(
-      csi.ScanGroups(0, csi.num_row_groups(), {0, 1}, {}, fn, nullptr).ok());
-  EXPECT_TRUE(csi.ScanDelta({0, 1}, {}, fn, nullptr).ok());
+      view->ScanGroups(0, view->num_row_groups(), {0, 1}, {}, fn, nullptr).ok());
+  EXPECT_TRUE(view->ScanDelta({0, 1}, {}, fn, nullptr).ok());
   c.distinct_locators = locs.size();
   return c;
 }
 
 uint64_t CompressedBytes(const ColumnStoreIndex& csi) {
   uint64_t b = 0;
-  for (int g = 0; g < csi.num_row_groups(); ++g) {
-    b += csi.row_group(g).size_bytes();
+  const CsiViewPtr view = csi.Pin().value();
+  for (int g = 0; g < view->num_row_groups(); ++g) {
+    b += view->group(g).rows->size_bytes();
   }
   return b;
 }
@@ -445,7 +450,7 @@ TEST_F(CsiTest, DeltaClosesOnceItOutweighsCompressedData) {
     EXPECT_LT(delta + 1, csi->options().rowgroup_size);
     ASSERT_EQ(csi->num_row_groups(), groups + 1);
     EXPECT_EQ(csi->delta_rows(), 0u);
-    EXPECT_EQ(csi->row_group(groups).num_rows(), delta + 1);
+    EXPECT_EQ(csi->Pin().value()->group(groups).rows->num_rows(), delta + 1);
     EXPECT_EQ(csi->num_rows(), ref_rows);
     const Census after = TakeCensus(*csi);
     EXPECT_EQ(after.rows, ref_rows);
@@ -544,8 +549,9 @@ TEST_F(CsiTest, RowUpdatedAcrossDeltaClosesKeepsOneLiveCopy) {
 TEST_F(CsiTest, ScanEarlyStop) {
   auto csi = MakeCsi(ColumnStoreIndex::Kind::kPrimary, 20000);
   int batches = 0;
-  csi->ScanGroups(0, csi->num_row_groups(), {0}, {},
-                  [&](const ColumnBatch&) { return ++batches < 2; }, nullptr);
+  const CsiViewPtr view = csi->Pin().value();
+  view->ScanGroups(0, view->num_row_groups(), {0}, {},
+                   [&](const ColumnBatch&) { return ++batches < 2; }, nullptr);
   EXPECT_EQ(batches, 2);
 }
 

@@ -237,7 +237,8 @@ TEST_F(EncodedPredTest, ScanGroupsMatchesNaiveAndCountsMetrics) {
   std::vector<SegPredicate> preds{{0, klo, khi}};
   QueryMetrics m;
   int64_t got_rows = 0, got_sum = 0;
-  csi.ScanGroups(0, csi.num_row_groups(), {0, 1}, preds,
+  const CsiViewPtr view = csi.Pin().value();
+  view->ScanGroups(0, view->num_row_groups(), {0, 1}, preds,
                  [&](const ColumnBatch& b) {
                    got_rows += b.count;
                    for (int i = 0; i < b.count; ++i) got_sum += b.cols[1][i];
