@@ -348,6 +348,7 @@ class BenchJson {
         "\"rows_decoded\": %llu, \"rows_scanned\": %llu, "
         "\"rows_selected\": %llu, \"rows_late_materialized\": %llu, "
         "\"aggs_pushed_down\": %llu, \"hash_probes\": %llu, "
+        "\"agg_dense_rows\": %llu, "
         "\"join_batch_probes\": %llu, \"join_matches\": %llu, "
         "\"join_bloom_checks\": %llu, \"join_bloom_filtered\": %llu, "
         "\"segments_shared\": %llu, \"decode_bytes_saved\": %llu",
@@ -362,6 +363,7 @@ class BenchJson {
         static_cast<unsigned long long>(m.rows_late_materialized.load()),
         static_cast<unsigned long long>(m.aggs_pushed_down.load()),
         static_cast<unsigned long long>(m.hash_probes.load()),
+        static_cast<unsigned long long>(m.agg_dense_rows.load()),
         static_cast<unsigned long long>(m.join_batch_probes.load()),
         static_cast<unsigned long long>(m.join_matches.load()),
         static_cast<unsigned long long>(m.join_bloom_checks.load()),

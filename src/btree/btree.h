@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/packed.h"
+#include "common/relaxed.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 
@@ -50,6 +51,9 @@ class BTree {
 
   int key_width() const { return kw_; }
   int payload_width() const { return pw_; }
+  /// Drop every entry, leaving an empty tree (the object stays, so
+  /// unlatched size readers never see it replaced).
+  void Clear();
   uint64_t num_entries() const { return num_entries_; }
   int height() const { return height_; }
   uint64_t num_nodes() const { return num_nodes_; }
@@ -104,7 +108,6 @@ class BTree {
   struct Internal;
   struct Node;
 
-  void Clear();
   /// Descent helpers return nullptr for an empty tree OR an I/O failure;
   /// when `io` is given it distinguishes the two (non-OK = failed Access,
   /// and the caller must propagate it instead of reporting NotFound).
@@ -132,8 +135,9 @@ class BTree {
   BufferPool* pool_;
   Node* root_ = nullptr;
   Leaf* first_leaf_ = nullptr;
-  uint64_t num_entries_ = 0;
-  uint64_t num_nodes_ = 0;
+  /// Size fields the planner reads unlatched (common/relaxed.h).
+  Relaxed<uint64_t> num_entries_ = 0;
+  Relaxed<uint64_t> num_nodes_ = 0;
   int height_ = 0;
   uint64_t recovery_lsn_ = 0;
 };

@@ -210,7 +210,7 @@ Status ColumnStoreIndex::CompressDelta(QueryMetrics* m) {
   auto list = std::make_shared<CsiGroupList>(*groups_);
   list->push_back(CsiGroup{std::move(g), nullptr});
   Publish(std::move(list));
-  delta_ = std::make_unique<BTree>(1, ncols_ + 1, pool_);
+  delta_->Clear();
   delta_seq_ = 0;
   delta_key_of_locator_.clear();
   Stats().delta_flushes->Add(1);
@@ -322,7 +322,7 @@ Status ColumnStoreIndex::CompactDeleteBuffer(QueryMetrics* m) {
   // Skip dead copies of a recurring locator (see MarkDeleted): the
   // buffered delete belongs to its live copy.
   HD_RETURN_IF_ERROR(MarkDeleted(&dead, m));
-  delete_buffer_ = std::make_unique<BTree>(1, 0, pool_);
+  delete_buffer_->Clear();
   version_ = NextVersion();
   Stats().delete_compactions->Add(1);
   SyncTelemetry();
@@ -435,6 +435,24 @@ Result<CsiViewPtr> ColumnStoreIndex::Pin(QueryMetrics* m) const {
   std::vector<int> all(ncols_);
   for (int c = 0; c < ncols_; ++c) all[c] = c;
   return Pin(all, m);
+}
+
+bool CsiReadView::ColumnRange(int col, int64_t* lo, int64_t* hi) const {
+  *lo = INT64_MAX;
+  *hi = INT64_MIN;
+  for (const CsiGroup& g : *groups_) {
+    const ColumnSegment& seg = g.rows->segment(col);
+    *lo = std::min(*lo, seg.min_value());
+    *hi = std::max(*hi, seg.max_value());
+  }
+  if (!delta_locs_.empty()) {
+    if (delta_slot_[col] < 0) return false;
+    for (int64_t v : delta_vals_[delta_slot_[col]]) {
+      *lo = std::min(*lo, v);
+      *hi = std::max(*hi, v);
+    }
+  }
+  return *lo <= *hi;
 }
 
 Status CsiReadView::ScanGroups(
@@ -1157,10 +1175,10 @@ Status ColumnStoreIndex::Reorganize() {
                    nullptr));
   // Views pinned earlier keep the old groups; the index starts a new list.
   groups_ = std::make_shared<const CsiGroupList>();
-  delta_ = std::make_unique<BTree>(1, ncols_ + 1, pool_);
+  delta_->Clear();
   delta_seq_ = 0;
   delta_key_of_locator_.clear();
-  if (delete_buffer_) delete_buffer_ = std::make_unique<BTree>(1, 0, pool_);
+  if (delete_buffer_) delete_buffer_->Clear();
   BuildGroups(std::move(cols), std::move(locs));
   Stats().reorganizes->Add(1);
   SyncTelemetry();

@@ -32,6 +32,7 @@
 #include "btree/btree.h"
 #include "columnstore/row_group.h"
 #include "common/bloom.h"
+#include "common/relaxed.h"
 #include "common/status.h"
 
 namespace hd {
@@ -165,6 +166,11 @@ class CsiReadView {
   uint64_t delta_rows() const { return delta_locs_.size(); }
   /// Delete-buffer locators (secondary CSI; empty for a primary).
   const std::unordered_set<int64_t>& dead() const { return dead_; }
+  /// Inclusive packed range [*lo, *hi] of stored column `col` over every
+  /// row group (segment min/max, deleted rows included) and the pinned
+  /// delta rows. False when the view has no rows, or has delta rows but
+  /// `col` was not pinned.
+  bool ColumnRange(int col, int64_t* lo, int64_t* hi) const;
 
   /// Vectorized scan of row groups [group_begin, group_end) — the unit of
   /// parallelism (one row group = one morsel). Decodes `cols_needed`,
@@ -405,15 +411,18 @@ class ColumnStoreIndex {
   /// bumped by every change to groups_ or the delete buffer.
   uint64_t version_ = 0;
   /// Size counters kept beside groups_, so stats readers never touch it.
-  int num_groups_ = 0;
-  uint64_t compressed_rows_ = 0;
-  uint64_t compressed_deleted_ = 0;
-  uint64_t compressed_bytes_ = 0;
-  std::vector<uint64_t> column_bytes_;
+  /// The planner reads these unlatched (common/relaxed.h).
+  Relaxed<int> num_groups_ = 0;
+  Relaxed<uint64_t> compressed_rows_ = 0;
+  Relaxed<uint64_t> compressed_deleted_ = 0;
+  Relaxed<uint64_t> compressed_bytes_ = 0;
+  std::vector<Relaxed<uint64_t>> column_bytes_;
 
   /// Delta store: B+ tree keyed by insert sequence; payload = row cols +
   /// locator. The side map locates a delta row by locator in O(1) so
-  /// statement-level deletes need not scan the delta.
+  /// statement-level deletes need not scan the delta. The delta and the
+  /// delete buffer are cleared in place, never replaced, so unlatched
+  /// size readers always dereference a live tree.
   std::unique_ptr<BTree> delta_;
   int64_t delta_seq_ = 0;
   std::unordered_map<int64_t, int64_t> delta_key_of_locator_;

@@ -6,6 +6,16 @@
 
 namespace hd {
 
+namespace {
+
+/// v - base as an unsigned offset (wraps instead of overflowing when the
+/// segment's range spans more than INT64_MAX).
+uint64_t Offset(int64_t v, int64_t base) {
+  return static_cast<uint64_t>(v) - static_cast<uint64_t>(base);
+}
+
+}  // namespace
+
 ColumnSegment::~ColumnSegment() { Reset(); }
 
 void ColumnSegment::Reset() {
@@ -76,7 +86,7 @@ void ColumnSegment::Build(std::span<const int64_t> values, BufferPool* pool) {
     const double dict_bits_per_row =
         BitsFor(code_of.size() > 0 ? code_of.size() - 1 : 0);
     const double raw_bits_per_row =
-        BitsFor(static_cast<uint64_t>(max_ - min_));
+        BitsFor(Offset(max_, min_));
     const double dict_total =
         n_ * dict_bits_per_row / 8.0 + code_of.size() * 8.0;
     const double rle_total =
@@ -117,7 +127,7 @@ void ColumnSegment::Build(std::span<const int64_t> values, BufferPool* pool) {
     approx_ndv_ = dict_ok ? code_of.size() : n_;
     std::vector<uint64_t> offs(n_);
     for (size_t i = 0; i < n_; ++i) {
-      offs[i] = static_cast<uint64_t>(values[i] - min_);
+      offs[i] = Offset(values[i], min_);
     }
     packed_.Pack(offs);
     size_bytes_ = packed_.byte_size() + 64;
@@ -152,9 +162,9 @@ ColumnSegment::CodeRange ColumnSegment::TranslateRange(int64_t lo,
       return cr;
     }
     case SegEncoding::kRawPacked: {
-      cr.lo = lo <= min_ ? 0 : static_cast<uint64_t>(lo - min_);
-      cr.hi = hi >= max_ ? static_cast<uint64_t>(max_ - min_)
-                         : static_cast<uint64_t>(hi - min_);
+      cr.lo = lo <= min_ ? 0 : Offset(lo, min_);
+      cr.hi = hi >= max_ ? Offset(max_, min_)
+                         : Offset(hi, min_);
       return cr;
     }
   }

@@ -20,6 +20,7 @@ void QueryMetrics::Clear() {
   rows_late_materialized = 0;
   aggs_pushed_down = 0;
   hash_probes = 0;
+  agg_dense_rows = 0;
   join_batch_probes = 0;
   join_matches = 0;
   join_bloom_checks = 0;
@@ -52,6 +53,7 @@ void QueryMetrics::Merge(const QueryMetrics& o) {
   rows_late_materialized += o.rows_late_materialized.load();
   aggs_pushed_down += o.aggs_pushed_down.load();
   hash_probes += o.hash_probes.load();
+  agg_dense_rows += o.agg_dense_rows.load();
   join_batch_probes += o.join_batch_probes.load();
   join_matches += o.join_matches.load();
   join_bloom_checks += o.join_bloom_checks.load();
@@ -82,6 +84,7 @@ std::string QueryMetrics::ToString() const {
      << " rows_latemat=" << rows_late_materialized.load()
      << " aggs_pushed=" << aggs_pushed_down.load()
      << " hash_probes=" << hash_probes.load()
+     << " agg_dense_rows=" << agg_dense_rows.load()
      << " peak_mem=" << peak_memory_bytes.load() << " dop=" << dop;
   if (join_batch_probes.load() > 0 || join_bloom_checks.load() > 0) {
     os << " join_probes=" << join_batch_probes.load()

@@ -52,10 +52,13 @@ struct QueryMetrics {
   /// late-materialization gather (a subset of rows_decoded).
   std::atomic<uint64_t> rows_selected{0};
   std::atomic<uint64_t> rows_late_materialized{0};
-  /// Aggregates answered entirely in the encoded domain (no decode), and
-  /// aggregate hash-table probe chains walked (one per FindOrInsert).
+  /// Aggregates answered entirely in the encoded domain (no decode),
+  /// aggregate hash-table probe chains walked (one per FindOrInsert), and
+  /// rows aggregated into direct-indexed (dense) group states, which take
+  /// no probe.
   std::atomic<uint64_t> aggs_pushed_down{0};
   std::atomic<uint64_t> hash_probes{0};
+  std::atomic<uint64_t> agg_dense_rows{0};
   /// Batch-mode hash joins: keys probed through the vectorized kernels
   /// (one per key per join step), and (probe-row, build-row) matches those
   /// probes expanded to. Bloom pushdown (sideways information passing):
@@ -134,7 +137,7 @@ struct QueryMetrics {
 /// DML mutation) charged at query level. For read-only statements the
 /// data-path counters (rows_scanned, segments_*, runs_evaluated,
 /// rows_decoded, rows_selected, rows_late_materialized, aggs_pushed_down,
-/// hash_probes, join_batch_probes, join_matches, join_bloom_checks,
+/// hash_probes, agg_dense_rows, join_batch_probes, join_matches, join_bloom_checks,
 /// join_bloom_filtered, morsels_*) therefore sum exactly across operators
 /// to the query totals. The join_bloom_* pair is charged to the *join*
 /// operator whose filter ran (not the scan it ran inside): the check is

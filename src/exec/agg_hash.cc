@@ -2,16 +2,14 @@
 
 namespace hd {
 
-void AggHashTable::Init(size_t key_width, size_t num_aggs) {
+void AggHashTable::Init(size_t key_width) {
   kw_ = key_width == 0 ? 1 : key_width;
-  na_ = num_aggs;
-  stride_ = kw_ + na_ * (sizeof(AggState) / sizeof(int64_t));
   ngroups_ = 0;
   probes_ = 0;
   constexpr size_t kInitSlots = 1024;  // power of two
   slots_.assign(kInitSlots, 0);
   mask_ = kInitSlots - 1;
-  payload_.clear();
+  keys_.clear();
   hashes_.clear();
 }
 
@@ -33,11 +31,7 @@ void AggHashTable::ComputeHashes(const int64_t* keys, size_t n,
 size_t AggHashTable::InsertAt(size_t s, const int64_t* key, uint64_t hash,
                               size_t max_groups) {
   if (ngroups_ >= max_groups) return kNoSlot;
-  // Zero-filled payload row = key slot + all-zero AggStates (a valid
-  // initial accumulator); the key is copied over the front.
-  payload_.resize(payload_.size() + stride_, 0);
-  std::memcpy(payload_.data() + ngroups_ * stride_, key,
-              kw_ * sizeof(int64_t));
+  keys_.insert(keys_.end(), key, key + kw_);
   hashes_.push_back(hash);
   slots_[s] = static_cast<uint32_t>(ngroups_) + 1;
   const size_t g = ngroups_++;

@@ -1,10 +1,9 @@
-// Flat open-addressing aggregate hash table for vectorized group-by.
+// Flat open-addressing group table for hash aggregation.
 //
-// Replaces the std::unordered_map<vector<int64_t>, vector<AggState>> the
-// executor used per worker: each group is one contiguous payload row —
-// key_width int64 key words immediately followed by num_aggs AggStates —
-// so a probe and its state update touch the same cache line(s) instead of
-// three separate arrays. The slot directory is a power-of-two linear-probe
+// Maps a group key (key_width int64 words) to a dense group index, in
+// insertion order; the aggregate states live outside the table, in the
+// batch aggregate sink's per-aggregate arrays indexed by that group
+// (exec/agg_sink.h). The slot directory is a power-of-two linear-probe
 // table of 32-bit group references. One hash per probe: the hash is
 // computed once per input row, drives FindOrInsert, selects the
 // grace-spill partition on overflow, and is cached per group so growth
@@ -17,35 +16,17 @@
 
 namespace hd {
 
-/// Accumulator for one aggregate within one group. `d`/`i` hold the
-/// double/int64 running sums, `count` the contributing rows (also AVG's
-/// denominator), `packed_minmax` the min/max in packed-value space with
-/// `has` marking whether any row contributed. All-zero bytes are a valid
-/// initial state (the payload rows are zero-filled on insert).
-struct AggState {
-  double d = 0;
-  int64_t i = 0;
-  uint64_t count = 0;
-  int64_t packed_minmax = 0;
-  bool has = false;
-};
-
-static_assert(sizeof(AggState) % sizeof(int64_t) == 0,
-              "payload rows are laid out in int64 words");
-
 class AggHashTable {
  public:
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
-  /// Prepare for keys of `key_width` int64s and `num_aggs` AggStates per
-  /// group. Clears any previous contents.
-  void Init(size_t key_width, size_t num_aggs);
+  /// Prepare for keys of `key_width` int64s. Clears any previous contents.
+  void Init(size_t key_width);
 
   size_t size() const { return ngroups_; }
-  size_t key_width() const { return kw_; }
 
-  /// Mixer shared by probing, spill partitioning, and the worker merge —
-  /// computing it once per row is the whole point.
+  /// One hash per row drives the probe, the spill partition and (cached
+  /// per group) the worker merge — computing it once is the whole point.
   static uint64_t HashKey(const int64_t* key, size_t kw) {
     uint64_t h = 0xcbf29ce484222325ull;
     for (size_t i = 0; i < kw; ++i) {
@@ -61,20 +42,9 @@ class AggHashTable {
   /// directory cache-resident.
   void ComputeHashes(const int64_t* keys, size_t n, uint64_t* out) const;
 
-  /// Second-stage prefetch: read the (already prefetched) slot word for
-  /// `hash` and prefetch the referenced group's payload row. Call a dozen
-  /// rows ahead of FindOrInsert in the probe loop to hide the dependent
-  /// slot -> payload miss chain on large tables.
-  void PrefetchFor(uint64_t hash) const {
-    const uint32_t ref = slots_[hash & mask_];
-    if (ref != 0) {
-      __builtin_prefetch(payload_.data() + (ref - 1) * stride_, 1, 1);
-    }
-  }
-
   /// One probe chain: return the group index for `key` (hash precomputed),
-  /// inserting a zero-initialized group when absent. Returns kNoSlot —
-  /// with nothing inserted — when inserting would exceed `max_groups`
+  /// inserting the group when absent. Returns kNoSlot — with nothing
+  /// inserted — when inserting would exceed `max_groups`
   /// (the grace-spill signal; the caller routes the row to partition
   /// hash % kSpillParts). The probe loop is inline (it runs once per input
   /// row); only the insert path leaves the header.
@@ -89,7 +59,7 @@ class AggHashTable {
         const uint32_t ref = slots_[s];
         if (ref == 0) return InsertAt(s, key, hash, max_groups);
         const size_t g = ref - 1;
-        if (payload_[g * stride_] == k0) return g;
+        if (keys_[g * kw_] == k0) return g;
         s = (s + 1) & mask_;
       }
     }
@@ -98,7 +68,7 @@ class AggHashTable {
       if (ref == 0) return InsertAt(s, key, hash, max_groups);
       const size_t g = ref - 1;
       if (hashes_[g] == hash &&
-          std::memcmp(payload_.data() + g * stride_, key,
+          std::memcmp(keys_.data() + g * kw_, key,
                       kw_ * sizeof(int64_t)) == 0) {
         return g;
       }
@@ -106,26 +76,15 @@ class AggHashTable {
     }
   }
 
-  const int64_t* KeyAt(size_t g) const { return payload_.data() + g * stride_; }
+  const int64_t* KeyAt(size_t g) const { return keys_.data() + g * kw_; }
   uint64_t HashAt(size_t g) const { return hashes_[g]; }
-  /// Pointer to group g's num_aggs AggStates (adjacent to its key in the
-  /// same payload row). Stable only until the next FindOrInsert (insertion
-  /// may reallocate) — batched callers must finish all probes for a batch
-  /// before touching states.
-  AggState* StatesAt(size_t g) {
-    return reinterpret_cast<AggState*>(payload_.data() + g * stride_ + kw_);
-  }
-  const AggState* StatesAt(size_t g) const {
-    return reinterpret_cast<const AggState*>(payload_.data() + g * stride_ +
-                                             kw_);
-  }
 
   /// Probe chains walked (one per FindOrInsert call) — the hash_probes
   /// observability counter.
   uint64_t probes() const { return probes_; }
   uint64_t memory_bytes() const {
     return slots_.size() * sizeof(uint32_t) +
-           payload_.size() * sizeof(int64_t) +
+           keys_.size() * sizeof(int64_t) +
            hashes_.size() * sizeof(uint64_t);
   }
 
@@ -138,12 +97,10 @@ class AggHashTable {
   void Grow();
 
   size_t kw_ = 1;
-  size_t na_ = 0;
-  size_t stride_ = 1;  ///< payload words per group: kw_ + na_ states
   size_t ngroups_ = 0;
   size_t mask_ = 0;
   std::vector<uint32_t> slots_;   ///< group index + 1; 0 = empty
-  std::vector<int64_t> payload_;  ///< ngroups rows of key words + AggStates
+  std::vector<int64_t> keys_;     ///< ngroups rows of key words
   std::vector<uint64_t> hashes_;  ///< one cached hash per group
   uint64_t probes_ = 0;
 };

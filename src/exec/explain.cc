@@ -129,6 +129,9 @@ void RenderNode(std::ostringstream& os, const OperatorProfile& op,
          << " decode_bytes_saved=" << m.shared_decode_bytes_saved.load();
     }
     if (m.hash_probes.load() > 0) os << " hash_probes=" << m.hash_probes.load();
+    if (m.agg_dense_rows.load() > 0) {
+      os << " agg_dense_rows=" << m.agg_dense_rows.load();
+    }
     if (m.join_batch_probes.load() > 0) {
       os << " batch_probes=" << m.join_batch_probes.load()
          << " matches=" << m.join_matches.load();

@@ -25,6 +25,7 @@ uint64_t HeapFile::Append(std::span<const int64_t> row) {
     page->data.resize(static_cast<size_t>(rows_per_page_) * stride_);
     page->extent = pool_->Register(kPageBytes);
     pages_.push_back(std::move(page));
+    num_pages_ = pages_.size();
   }
   Page* p = pages_.back().get();
   std::memcpy(p->data.data() + static_cast<size_t>(p->count) * stride_,
@@ -132,7 +133,7 @@ Status HeapFile::ScanRange(
     uint64_t begin_rid, uint64_t end_rid,
     const std::function<bool(uint64_t, const int64_t*)>& fn,
     QueryMetrics* m) const {
-  end_rid = std::min(end_rid, num_rows_);
+  end_rid = std::min<uint64_t>(end_rid, num_rows_);
   if (begin_rid >= end_rid) return Status::OK();
   HD_FAILPOINT_RETURN_M("heapfile.io", m);
   uint64_t pidx = begin_rid / rows_per_page_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/packed.h"
+#include "common/relaxed.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 
@@ -69,8 +70,11 @@ class HeapFile {
                    QueryMetrics* m) const;
 
   uint64_t num_rows() const { return num_rows_; }
-  uint64_t live_rows() const { return num_rows_ - deleted_rows_; }
-  uint64_t num_pages() const { return pages_.size(); }
+  uint64_t live_rows() const {
+    const uint64_t n = num_rows_, d = deleted_rows_;
+    return n > d ? n - d : 0;
+  }
+  uint64_t num_pages() const { return num_pages_; }
   uint64_t size_bytes() const { return num_pages() * kPageBytes; }
   int rows_per_page() const { return rows_per_page_; }
 
@@ -90,8 +94,10 @@ class HeapFile {
   BufferPool* pool_;
   int rows_per_page_;
   std::vector<std::unique_ptr<Page>> pages_;
-  uint64_t num_rows_ = 0;
-  uint64_t deleted_rows_ = 0;
+  /// Size fields the planner reads unlatched (common/relaxed.h).
+  Relaxed<uint64_t> num_pages_ = 0;
+  Relaxed<uint64_t> num_rows_ = 0;
+  Relaxed<uint64_t> deleted_rows_ = 0;
 };
 
 }  // namespace hd

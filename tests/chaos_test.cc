@@ -14,6 +14,7 @@
 //   (f) exact metrics rollup     — retry/backoff counters in the merged
 //                                  QueryMetrics match the driver's totals
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -40,6 +41,12 @@
 
 namespace hd {
 namespace {
+
+/// Path under the test temp dir with this process's pid in its name, so
+/// concurrent copies of this binary never share a file.
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name + "_" + std::to_string(::getpid());
+}
 
 // The full catalog of wired failpoints (docs/ROBUSTNESS.md).
 constexpr const char* kCatalog[] = {
@@ -136,7 +143,7 @@ TEST_F(ChaosTest, SweepEpisodesHoldInvariants) {
   // workload races real registry snapshots.
   TelemetrySampler sampler;
   ASSERT_TRUE(
-      sampler.Start(testing::TempDir() + "/chaos_stats.jsonl", 5).ok());
+      sampler.Start(TempPath("chaos_stats") + ".jsonl", 5).ok());
 
   // Baseline: the workload is clean with nothing armed.
   MixedResult base = RunEpisode(&tm, 1, 60);
@@ -229,7 +236,7 @@ TEST(TelemetryShutdownOrder, SamplerSurvivesEngineTeardown) {
 
   TelemetrySampler sampler;
   ASSERT_TRUE(
-      sampler.Start(testing::TempDir() + "/shutdown_stats.jsonl", 1).ok());
+      sampler.Start(TempPath("shutdown_stats") + ".jsonl", 1).ok());
   {
     Database db;
     MicroOptions mo;
@@ -556,8 +563,7 @@ TEST_F(ChaosTest, AbruptDisconnectStillFinalizesCaptureRecord) {
 TEST_F(ChaosTest, RestartSweepCommittedDurableUncommittedGone) {
   for (const uint64_t seed : {1001ull, 2002ull, 3003ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const std::string dir =
-        testing::TempDir() + "/chaos_restart_" + std::to_string(seed);
+    const std::string dir = TempPath("chaos_restart_" + std::to_string(seed));
     std::filesystem::remove_all(dir);
 
     constexpr int kThreads = 4;

@@ -33,6 +33,7 @@ QueryMetrics MakeFilled(uint64_t base) {
   m.rows_late_materialized = base + 17;
   m.aggs_pushed_down = base + 18;
   m.hash_probes = base + 19;
+  m.agg_dense_rows = base + 20;
   m.dop = 4;
   return m;
 }
@@ -59,6 +60,7 @@ TEST(QueryMetricsTest, ClearZeroesEverything) {
   EXPECT_EQ(m.rows_late_materialized.load(), 0u);
   EXPECT_EQ(m.aggs_pushed_down.load(), 0u);
   EXPECT_EQ(m.hash_probes.load(), 0u);
+  EXPECT_EQ(m.agg_dense_rows.load(), 0u);
 }
 
 TEST(QueryMetricsTest, MergeSumsCountersAndMaxesPeakMemory) {
@@ -74,6 +76,7 @@ TEST(QueryMetricsTest, MergeSumsCountersAndMaxesPeakMemory) {
   EXPECT_EQ(a.rows_late_materialized.load(), 17u + 1017u);
   EXPECT_EQ(a.aggs_pushed_down.load(), 18u + 1018u);
   EXPECT_EQ(a.hash_probes.load(), 19u + 1019u);
+  EXPECT_EQ(a.agg_dense_rows.load(), 20u + 1020u);
   // Peak memory is a high-water mark, not additive.
   EXPECT_EQ(a.peak_memory_bytes.load(), 1014u);
 }
