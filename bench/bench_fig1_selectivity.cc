@@ -60,7 +60,7 @@ int main() {
     csi_cpu_c.ys.push_back(mcc.cpu_ms());
     bt_cpu_h.ys.push_back(mbh.cpu_ms());
     csi_cpu_h.ys.push_back(mch.cpu_ms());
-    // hd-bench/2: embed the per-operator breakdown for each point.
+    // Embed the per-operator breakdown for each point.
     json.Point("btree_cold", pct, rbc);
     json.Point("csi_cold", pct, rcc);
     json.Point("btree_hot", pct, rbh);

@@ -5,7 +5,7 @@
 //     legacy one-byte-per-row match loop it replaced.
 //   - Flat open-addressing AggHashTable group-by, and the batch aggregate
 //     sink's hash and direct-indexed group-by, vs std::unordered_map.
-// Emits BENCH_kernels.json (hd-bench/2 Value points, series/x/ms plus a
+// Emits BENCH_kernels.json (hd-bench/3 Value points, series/x/ms plus a
 // derived mrows_s throughput field) and prints an aligned table.
 #include <cinttypes>
 #include <unordered_map>

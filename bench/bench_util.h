@@ -194,9 +194,8 @@ inline void Shape(bool ok, const std::string& claim) {
 }
 
 /// Machine-readable bench output: collects one record per measured point
-/// (plotted value plus the execution counters — morsel scheduling,
-/// encoded-domain predicate work) and writes `BENCH_<name>.json` in the
-/// working directory on Write().
+/// (plotted value plus every QueryMetrics counter, see HD_QUERY_COUNTERS)
+/// and writes `BENCH_<name>.json` in the working directory on Write().
 ///
 /// Schema (the "schema" field in the output, see docs/OBSERVABILITY.md):
 ///   hd-bench/3 — adds the MixedPoint record (per-stream latency
@@ -204,7 +203,8 @@ inline void Shape(bool ok, const std::string& claim) {
 ///   for the mixed-workload benches. hd-bench/2 added an optional
 ///   per-point "operators" array (one entry per physical plan node,
 ///   emitted by the QueryResult overload of Point) to the hd-bench/1 flat
-///   point records. Consumers should key on field names, not field order.
+///   point records. Fields are only ever added: consumers should key on
+///   field names, not field order.
 class BenchJson {
  public:
   static constexpr const char* kSchema = "hd-bench/3";
@@ -223,31 +223,13 @@ class BenchJson {
     rec += ", \"operators\": [";
     for (size_t i = 0; i < r.operators.size(); ++i) {
       const OperatorProfile& op = r.operators[i];
-      const QueryMetrics& m = op.metrics;
-      char buf[768];
-      std::snprintf(
-          buf, sizeof buf,
-          "%s{\"name\": \"%s\", \"phase\": \"%s\", \"est_rows\": %g, "
-          "\"rows_in\": %llu, \"rows_out\": %llu, \"cpu_ms\": %.4f, "
-          "\"io_ms\": %.4f, \"rows_scanned\": %llu, "
-          "\"segments_scanned\": %llu, \"segments_skipped\": %llu, "
-          "\"morsels_scheduled\": %llu, \"spill_bytes\": %llu, "
-          "\"join_batch_probes\": %llu, \"join_matches\": %llu, "
-          "\"join_bloom_checks\": %llu, \"join_bloom_filtered\": %llu}",
-          i ? ", " : "", op.name.c_str(), op.phase.c_str(), op.est_rows,
-          static_cast<unsigned long long>(op.rows_in),
-          static_cast<unsigned long long>(op.rows_out), m.cpu_ms(),
-          m.sim_io_ms(),
-          static_cast<unsigned long long>(m.rows_scanned.load()),
-          static_cast<unsigned long long>(m.segments_scanned.load()),
-          static_cast<unsigned long long>(m.segments_skipped.load()),
-          static_cast<unsigned long long>(m.morsels_scheduled.load()),
-          static_cast<unsigned long long>(m.spill_bytes.load()),
-          static_cast<unsigned long long>(m.join_batch_probes.load()),
-          static_cast<unsigned long long>(m.join_matches.load()),
-          static_cast<unsigned long long>(m.join_bloom_checks.load()),
-          static_cast<unsigned long long>(m.join_bloom_filtered.load()));
-      rec += buf;
+      rec += i ? ", " : "";
+      rec += "{\"name\": \"" + op.name + "\", \"phase\": \"" + op.phase +
+             "\", \"est_rows\": " + Num("%g", op.est_rows) +
+             ", \"rows_in\": " + std::to_string(op.rows_in) +
+             ", \"rows_out\": " + std::to_string(op.rows_out);
+      AppendCounters(&rec, op.metrics);
+      rec += "}";
     }
     rec += "]}";
     points_.push_back(std::move(rec));
@@ -334,43 +316,30 @@ class BenchJson {
   }
 
  private:
+  static std::string Num(const char* fmt, double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    return buf;
+  }
+
+  /// Every QueryMetrics counter under its label; timings in milliseconds.
+  static void AppendCounters(std::string* rec, const QueryMetrics& m) {
+    m.ForEachCounter([rec](const CounterDef& c, uint64_t v) {
+      *rec += std::string(", \"") + c.label() + "\": ";
+      *rec += c.ms_label != nullptr ? Num("%.4f", v / 1e6) : std::to_string(v);
+    });
+  }
+
   /// Flat counter record shared by both Point overloads; returned without
   /// the closing brace so callers can append fields.
   static std::string MetricsRecord(const std::string& series, double x,
                                    const QueryMetrics& m) {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"series\": \"%s\", \"x\": %g, \"exec_ms\": %.4f, "
-        "\"cpu_ms\": %.4f, \"io_ms\": %.4f, \"dop\": %d, "
-        "\"morsels_scheduled\": %llu, \"morsels_stolen\": %llu, "
-        "\"segments_skipped\": %llu, \"runs_evaluated\": %llu, "
-        "\"rows_decoded\": %llu, \"rows_scanned\": %llu, "
-        "\"rows_selected\": %llu, \"rows_late_materialized\": %llu, "
-        "\"aggs_pushed_down\": %llu, \"hash_probes\": %llu, "
-        "\"agg_dense_rows\": %llu, "
-        "\"join_batch_probes\": %llu, \"join_matches\": %llu, "
-        "\"join_bloom_checks\": %llu, \"join_bloom_filtered\": %llu, "
-        "\"segments_shared\": %llu, \"decode_bytes_saved\": %llu",
-        series.c_str(), x, m.exec_ms(), m.cpu_ms(), m.sim_io_ms(), m.dop,
-        static_cast<unsigned long long>(m.morsels_scheduled.load()),
-        static_cast<unsigned long long>(m.morsels_stolen.load()),
-        static_cast<unsigned long long>(m.segments_skipped.load()),
-        static_cast<unsigned long long>(m.runs_evaluated.load()),
-        static_cast<unsigned long long>(m.rows_decoded.load()),
-        static_cast<unsigned long long>(m.rows_scanned.load()),
-        static_cast<unsigned long long>(m.rows_selected.load()),
-        static_cast<unsigned long long>(m.rows_late_materialized.load()),
-        static_cast<unsigned long long>(m.aggs_pushed_down.load()),
-        static_cast<unsigned long long>(m.hash_probes.load()),
-        static_cast<unsigned long long>(m.agg_dense_rows.load()),
-        static_cast<unsigned long long>(m.join_batch_probes.load()),
-        static_cast<unsigned long long>(m.join_matches.load()),
-        static_cast<unsigned long long>(m.join_bloom_checks.load()),
-        static_cast<unsigned long long>(m.join_bloom_filtered.load()),
-        static_cast<unsigned long long>(m.segments_shared.load()),
-        static_cast<unsigned long long>(m.shared_decode_bytes_saved.load()));
-    return buf;
+    std::string rec = "{\"series\": \"" + series + "\", \"x\": " +
+                      Num("%g", x) + ", \"exec_ms\": " +
+                      Num("%.4f", m.exec_ms()) +
+                      ", \"dop\": " + std::to_string(m.dop);
+    AppendCounters(&rec, m);
+    return rec;
   }
 
   std::string name_;

@@ -38,7 +38,7 @@
 //                        the telemetry registry on exit.
 //   --shared-scans       route non-transactional columnstore SELECTs
 //                        through the cooperative shared-scan scheduler
-//                        (EXPLAIN ANALYZE then shows shared_scan=attached
+//                        (EXPLAIN ANALYZE then shows shared_scan_attaches=1
 //                        when a statement joined a pass).
 //   --admission <n>      gate statements behind an admission controller
 //                        with n concurrent slots (overload surfaces as a

@@ -101,6 +101,22 @@ class StringDict {
   std::vector<std::unique_ptr<Index>> indexes_;
 };
 
+/// Value order of two packed values of one column. `unordered` is the
+/// column's dictionary when its codes are out of string order (see
+/// UnorderedDict), else null: packing preserves value order for every
+/// other column. NULL packs lowest.
+inline bool PackedLess(int64_t a, int64_t b, const StringDict* unordered) {
+  if (unordered == nullptr || a == INT64_MIN || b == INT64_MIN) return a < b;
+  return unordered->At(a) < unordered->At(b);
+}
+
+/// `d` when PackedLess must compare its strings (a trickle insert appended
+/// a code out of string order), else null. Codes only fall out of order,
+/// so a caller decides once, after the rows it sorts were read.
+inline const StringDict* UnorderedDict(const StringDict* d) {
+  return d != nullptr && !d->sorted() ? d : nullptr;
+}
+
 inline void StringDict::Reset(size_t cap) {
   for (auto& c : chunks_) c.reset();
   size_.store(0, std::memory_order_relaxed);

@@ -282,9 +282,11 @@ void AggSink::Trim(Part* p) {
   std::vector<uint32_t> order(closed);
   std::iota(order.begin(), order.end(), 0u);
   if (Ordered()) {
+    const std::vector<const StringDict*> dicts = KeyDicts();
     std::partial_sort(order.begin(), order.begin() + keep, order.end(),
                       [&](uint32_t a, uint32_t b) {
-                        return KeyLess(&p->gkeys[a * kw], &p->gkeys[b * kw]);
+                        return KeyLess(&p->gkeys[a * kw], &p->gkeys[b * kw],
+                                       dicts.data());
                       });
   }
   order.resize(keep);
@@ -306,21 +308,18 @@ void AggSink::Trim(Part* p) {
   p->gkeys = std::move(keys);
 }
 
-bool AggSink::KeyLess(const int64_t* a, const int64_t* b) const {
-  // Value order: packing preserves it except for strings (dictionary
-  // codes), which compare as strings, and doubles; NULL packs lowest.
+std::vector<const StringDict*> AggSink::KeyDicts() const {
+  std::vector<const StringDict*> d(o_.key_width);
+  for (size_t k = 0; k < o_.key_width; ++k) {
+    d[k] = UnorderedDict(o_.cols[k].table->dict(o_.cols[k].col));
+  }
+  return d;
+}
+
+bool AggSink::KeyLess(const int64_t* a, const int64_t* b,
+                      const StringDict* const* dicts) const {
   for (int k : key_order_) {
-    const int64_t va = a[k];
-    const int64_t vb = b[k];
-    if (va == vb) continue;
-    const SinkColumn& c = o_.cols[k];
-    if (c.type == ValueType::kString && va != INT64_MIN && vb != INT64_MIN) {
-      return c.table->dict(c.col)->At(va) < c.table->dict(c.col)->At(vb);
-    }
-    if (c.type == ValueType::kDouble && va != INT64_MIN && vb != INT64_MIN) {
-      return UnpackDouble(va) < UnpackDouble(vb);
-    }
-    return va < vb;
+    if (a[k] != b[k]) return PackedLess(a[k], b[k], dicts[k]);
   }
   return false;
 }
@@ -463,8 +462,9 @@ void AggSink::Finish(QueryResult* res, QueryMetrics* fm) {
   std::vector<uint32_t> order(ngroups);
   std::iota(order.begin(), order.end(), 0u);
   if (kw > 0 && Ordered()) {
+    const std::vector<const StringDict*> dicts = KeyDicts();
     auto less = [&](uint32_t a, uint32_t b) {
-      return KeyLess(&keys[a * kw], &keys[b * kw]);
+      return KeyLess(&keys[a * kw], &keys[b * kw], dicts.data());
     };
     if (nmat < ngroups) {
       std::partial_sort(order.begin(), order.begin() + nmat, order.end(), less);

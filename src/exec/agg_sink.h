@@ -35,6 +35,7 @@
 
 namespace hd {
 
+class StringDict;
 class Table;
 
 /// One sink column: the table column its values come from (packed).
@@ -163,8 +164,13 @@ class AggSink {
   /// Sorted mode: once the closed groups pass twice what the output can
   /// return, keep only those it can (the first ones in output order).
   void Trim(Part* p);
-  /// Whether group key `a` comes before `b` in the output order.
-  bool KeyLess(const int64_t* a, const int64_t* b) const;
+  /// Per group-key column, the dictionary PackedLess compares strings
+  /// through, or null.
+  std::vector<const StringDict*> KeyDicts() const;
+  /// Whether group key `a` comes before `b` in the output order (Value
+  /// order); `dicts` from KeyDicts.
+  bool KeyLess(const int64_t* a, const int64_t* b,
+               const StringDict* const* dicts) const;
   /// Groups the output returns at most: min(limit, kMaxMaterializedRows).
   size_t Keep() const;
   bool Ordered() const { return !o_.order_keys.empty() || o_.limit >= 0; }

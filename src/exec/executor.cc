@@ -1673,11 +1673,17 @@ Status Executor::Impl::RunSelect() {
     if (plan.explicit_sort && !sort_pos.empty()) {
       idx.resize(total_rows);
       std::iota(idx.begin(), idx.end(), 0u);
+      // Decided once, after the scan: strings compare through their
+      // dictionary only where codes fell out of string order.
+      std::vector<const StringDict*> dicts;
+      for (const ColRef& o : q.order_by) {
+        dicts.push_back(UnorderedDict(L.tables[o.table]->dict(o.col)));
+      }
       auto cmp = [&](uint32_t a, uint32_t b) {
-        for (int sp2 : sort_pos) {
-          const int64_t va = all[a * stride + sp2];
-          const int64_t vb = all[b * stride + sp2];
-          if (va != vb) return va < vb;
+        for (size_t k = 0; k < sort_pos.size(); ++k) {
+          const int64_t va = all[a * stride + sort_pos[k]];
+          const int64_t vb = all[b * stride + sort_pos[k]];
+          if (va != vb) return PackedLess(va, vb, dicts[k]);
         }
         return a < b;
       };

@@ -1,6 +1,5 @@
 #include "exec/explain.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
@@ -99,63 +98,12 @@ void RenderNode(std::ostringstream& os, const OperatorProfile& op,
   if (op.est_cost_ms >= 0) os << " est_cost_ms=" << Fmt(op.est_cost_ms);
   os << ")";
   if (analyze) {
-    const QueryMetrics& m = op.metrics;
     os << "  [actual";
     if (op.phase == "join" || op.phase == "agg" || op.phase == "sort" ||
         op.phase == "project") {
       os << " rows_in=" << op.rows_in;
     }
-    os << " rows_out=" << op.rows_out;
-    if (m.rows_scanned.load() > 0) os << " rows_scanned=" << m.rows_scanned.load();
-    if (m.segments_scanned.load() > 0 || m.segments_skipped.load() > 0) {
-      os << " segments=" << m.segments_scanned.load() << " scanned/"
-         << m.segments_skipped.load() << " skipped";
-    }
-    if (m.runs_evaluated.load() > 0) {
-      os << " runs_evaluated=" << m.runs_evaluated.load();
-    }
-    if (m.rows_decoded.load() > 0) os << " rows_decoded=" << m.rows_decoded.load();
-    if (m.rows_selected.load() > 0) {
-      os << " rows_selected=" << m.rows_selected.load();
-    }
-    if (m.rows_late_materialized.load() > 0) {
-      os << " rows_late_materialized=" << m.rows_late_materialized.load();
-    }
-    if (m.aggs_pushed_down.load() > 0) {
-      os << " aggs_pushed_down=" << m.aggs_pushed_down.load();
-    }
-    if (m.shared_scan_attaches.load() > 0) {
-      os << " shared_scan=attached segments_shared=" << m.segments_shared.load()
-         << " decode_bytes_saved=" << m.shared_decode_bytes_saved.load();
-    }
-    if (m.hash_probes.load() > 0) os << " hash_probes=" << m.hash_probes.load();
-    if (m.agg_dense_rows.load() > 0) {
-      os << " agg_dense_rows=" << m.agg_dense_rows.load();
-    }
-    if (m.join_batch_probes.load() > 0) {
-      os << " batch_probes=" << m.join_batch_probes.load()
-         << " matches=" << m.join_matches.load();
-    }
-    if (m.join_bloom_checks.load() > 0) {
-      os << " bloom_checks=" << m.join_bloom_checks.load()
-         << " bloom_filtered=" << m.join_bloom_filtered.load();
-    }
-    if (m.morsels_scheduled.load() > 0) {
-      os << " morsels=" << m.morsels_scheduled.load() << "(+"
-         << m.morsels_stolen.load() << " stolen)";
-    }
-    if (m.spill_bytes.load() > 0) os << " spill_bytes=" << m.spill_bytes.load();
-    if (m.peak_memory_bytes.load() > 0) {
-      os << " peak_mem=" << m.peak_memory_bytes.load();
-    }
-    char t[64];
-    std::snprintf(t, sizeof t, " cpu_ms=%.3f", m.cpu_ms());
-    os << t;
-    if (m.sim_io_ns.load() > 0) {
-      std::snprintf(t, sizeof t, " io_ms=%.3f", m.sim_io_ms());
-      os << t;
-    }
-    os << "]";
+    os << " rows_out=" << op.rows_out << op.metrics.CounterText() << "]";
   }
   os << "\n";
 }

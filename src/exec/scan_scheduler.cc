@@ -219,8 +219,7 @@ Status ScanScheduler::Scan(const CsiViewPtr& view,
         if (shared_decode && m != nullptr) {
           const uint64_t nsegs = me.cols.size() + (me.need_locators ? 1 : 0);
           m->segments_shared += nsegs;
-          m->shared_decode_bytes_saved +=
-              dg.rows * sizeof(int64_t) * me.cols.size();
+          m->decode_bytes_saved += dg.rows * sizeof(int64_t) * me.cols.size();
           c_segs->Add(nsegs);
           c_saved->Add(dg.rows * sizeof(int64_t) * me.cols.size());
         }

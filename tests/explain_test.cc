@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/trace.h"
 #include "exec/executor.h"
 #include "exec/explain.h"
@@ -121,7 +122,7 @@ TEST(ExplainRenderTest, AnalyzeShowsActualsAndTotals) {
   EXPECT_NE(s.find("EXPLAIN ANALYZE"), std::string::npos) << s;
   EXPECT_NE(s.find("[actual"), std::string::npos) << s;
   EXPECT_NE(s.find("rows_out="), std::string::npos) << s;
-  EXPECT_NE(s.find("segments="), std::string::npos) << s;
+  EXPECT_NE(s.find("segments_scanned="), std::string::npos) << s;
   EXPECT_NE(s.find("skipped"), std::string::npos) << s;
   EXPECT_NE(s.find("Query totals"), std::string::npos) << s;
 }
@@ -145,32 +146,14 @@ TEST(ExplainRollupTest, Fig1SelectivityQuerySumsToQueryTotals) {
   EXPECT_GT(r.metrics.segments_skipped.load(), 0u);
   EXPECT_GT(r.metrics.rows_scanned.load(), 0u);
 
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.rows_scanned.load(); }),
-            r.metrics.rows_scanned.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.segments_scanned.load(); }),
-            r.metrics.segments_scanned.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.segments_skipped.load(); }),
-            r.metrics.segments_skipped.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.morsels_scheduled.load(); }),
-            r.metrics.morsels_scheduled.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.morsels_stolen.load(); }),
-            r.metrics.morsels_stolen.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.runs_evaluated.load(); }),
-            r.metrics.runs_evaluated.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.rows_decoded.load(); }),
-            r.metrics.rows_decoded.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.pages_read.load(); }),
-            r.metrics.pages_read.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.rows_selected.load(); }),
-            r.metrics.rows_selected.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) {
-              return m.rows_late_materialized.load();
-            }),
-            r.metrics.rows_late_materialized.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.aggs_pushed_down.load(); }),
-            r.metrics.aggs_pushed_down.load());
-  EXPECT_EQ(SumOps(r, [](const QueryMetrics& m) { return m.hash_probes.load(); }),
-            r.metrics.hash_probes.load());
+  // An untransacted read charges nothing at query level: every summed
+  // counter is the sum of its operator blocks.
+  for (const CounterDef& c : kQueryCounters) {
+    if (c.merge != CounterMerge::kSum) continue;
+    uint64_t ops = 0;
+    for (const auto& op : r.operators) ops += (op.metrics.*c.member).load();
+    EXPECT_EQ(ops, (r.metrics.*c.member).load()) << c.name;
+  }
   // The selection counter accounts every row surviving the predicate; a
   // pure COUNT under a pushable predicate answers row groups in the
   // encoded domain (aggs_pushed_down > 0) without decoding them.
@@ -380,6 +363,65 @@ TEST(TraceTest, ParallelScanEmitsValidChromeTraceJson) {
   EXPECT_EQ(disk, json);
 
   Trace::Global().Clear();
+}
+
+
+// ---------------------------------------------------------------------
+// Counter rendering: one list feeds EXPLAIN ANALYZE and bench JSON.
+// ---------------------------------------------------------------------
+
+size_t Count(const std::string& s, const std::string& needle) {
+  size_t n = 0;
+  for (size_t p = s.find(needle); p != std::string::npos;
+       p = s.find(needle, p + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(CounterRenderTest, EveryNonZeroCounterAppearsByName) {
+  Database db;
+  MakeSortedCsi(&db, "t");
+  Query q = MicroQ1("t", 0.001, 999999);
+  PhysicalPlan plan;
+  QueryResult r = RunQ(&db, q, /*max_dop=*/4, &plan);
+  ASSERT_FALSE(r.operators.empty());
+  // Distinct non-zero values; timings in whole milliseconds.
+  QueryMetrics all;
+  uint64_t i = 0;
+  for (const CounterDef& c : kQueryCounters) {
+    ++i;
+    all.*c.member = c.ms_label != nullptr ? i * 1000000 : 1000 + i;
+  }
+  r.metrics = all;
+  r.operators[0].metrics = all;
+
+  const std::string text = ExplainAnalyze(q, plan, r);
+  const std::string path = "BENCH_counter_render_test.json";
+  bench::BenchJson json("counter_render_test");
+  json.Point("all", 1, r);
+  json.Write();
+  std::string disk;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) disk.append(buf, n);
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_TRUE(JsonChecker(disk).Valid()) << disk;
+
+  all.ForEachCounter([&](const CounterDef& c, uint64_t v) {
+    const std::string value =
+        c.ms_label != nullptr ? std::to_string(v / 1000000) + ".0"
+                              : std::to_string(v);
+    // The leaf operator's line and the query totals line.
+    EXPECT_EQ(Count(text, std::string(" ") + c.label() + "=" + value), 2u)
+        << c.name << "\n" << text;
+    // The flat point record and its leaf operator record.
+    EXPECT_EQ(Count(disk, std::string("\"") + c.label() + "\": " + value), 2u)
+        << c.name << "\n" << disk;
+  });
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // many threads on the shared pool.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -12,93 +14,78 @@
 namespace hd {
 namespace {
 
+// Every counter gets a distinct value: base + its position in the list.
 QueryMetrics MakeFilled(uint64_t base) {
   QueryMetrics m;
-  m.pages_read = base + 1;
-  m.bytes_read = base + 2;
-  m.bytes_processed = base + 3;
-  m.rows_scanned = base + 4;
-  m.rows_output = base + 5;
-  m.segments_scanned = base + 6;
-  m.segments_skipped = base + 7;
-  m.morsels_scheduled = base + 8;
-  m.morsels_stolen = base + 9;
-  m.runs_evaluated = base + 10;
-  m.rows_decoded = base + 11;
-  m.sim_io_ns = base + 12;
-  m.cpu_ns = base + 13;
-  m.peak_memory_bytes = base + 14;
-  m.spill_bytes = base + 15;
-  m.rows_selected = base + 16;
-  m.rows_late_materialized = base + 17;
-  m.aggs_pushed_down = base + 18;
-  m.hash_probes = base + 19;
-  m.agg_dense_rows = base + 20;
+  uint64_t i = 0;
+  for (const CounterDef& c : kQueryCounters) m.*c.member = base + ++i;
   m.dop = 4;
   return m;
+}
+
+std::vector<uint64_t> Values(const QueryMetrics& m) {
+  std::vector<uint64_t> v;
+  m.ForEachCounter([&v](const CounterDef&, uint64_t x) { v.push_back(x); });
+  return v;
+}
+
+TEST(QueryMetricsTest, ListNamesEveryCounterOnce) {
+  std::set<std::string> names;
+  std::set<std::string> labels;
+  for (const CounterDef& c : kQueryCounters) {
+    EXPECT_TRUE(names.insert(c.name).second) << c.name;
+    EXPECT_TRUE(labels.insert(c.label()).second) << c.label();
+  }
+  // The merge rules: everything adds except the memory high-water mark.
+  for (const CounterDef& c : kQueryCounters) {
+    EXPECT_EQ(c.merge == CounterMerge::kMax,
+              c.member == &QueryMetrics::peak_memory_bytes)
+        << c.name;
+  }
 }
 
 TEST(QueryMetricsTest, ClearZeroesEverything) {
   QueryMetrics m = MakeFilled(100);
   m.Clear();
-  EXPECT_EQ(m.pages_read.load(), 0u);
-  EXPECT_EQ(m.bytes_read.load(), 0u);
-  EXPECT_EQ(m.bytes_processed.load(), 0u);
-  EXPECT_EQ(m.rows_scanned.load(), 0u);
-  EXPECT_EQ(m.rows_output.load(), 0u);
-  EXPECT_EQ(m.segments_scanned.load(), 0u);
-  EXPECT_EQ(m.segments_skipped.load(), 0u);
-  EXPECT_EQ(m.morsels_scheduled.load(), 0u);
-  EXPECT_EQ(m.morsels_stolen.load(), 0u);
-  EXPECT_EQ(m.runs_evaluated.load(), 0u);
-  EXPECT_EQ(m.rows_decoded.load(), 0u);
-  EXPECT_EQ(m.sim_io_ns.load(), 0u);
-  EXPECT_EQ(m.cpu_ns.load(), 0u);
-  EXPECT_EQ(m.peak_memory_bytes.load(), 0u);
-  EXPECT_EQ(m.spill_bytes.load(), 0u);
-  EXPECT_EQ(m.rows_selected.load(), 0u);
-  EXPECT_EQ(m.rows_late_materialized.load(), 0u);
-  EXPECT_EQ(m.aggs_pushed_down.load(), 0u);
-  EXPECT_EQ(m.hash_probes.load(), 0u);
-  EXPECT_EQ(m.agg_dense_rows.load(), 0u);
+  for (uint64_t v : Values(m)) EXPECT_EQ(v, 0u);
+  EXPECT_EQ(m.dop, 1);
 }
 
 TEST(QueryMetricsTest, MergeSumsCountersAndMaxesPeakMemory) {
   QueryMetrics a = MakeFilled(0);
-  QueryMetrics b = MakeFilled(1000);
+  const QueryMetrics b = MakeFilled(1000);
   a.Merge(b);
-  EXPECT_EQ(a.pages_read.load(), 1u + 1001u);
-  EXPECT_EQ(a.rows_scanned.load(), 4u + 1004u);
-  EXPECT_EQ(a.morsels_scheduled.load(), 8u + 1008u);
-  EXPECT_EQ(a.cpu_ns.load(), 13u + 1013u);
-  EXPECT_EQ(a.spill_bytes.load(), 15u + 1015u);
-  EXPECT_EQ(a.rows_selected.load(), 16u + 1016u);
-  EXPECT_EQ(a.rows_late_materialized.load(), 17u + 1017u);
-  EXPECT_EQ(a.aggs_pushed_down.load(), 18u + 1018u);
-  EXPECT_EQ(a.hash_probes.load(), 19u + 1019u);
-  EXPECT_EQ(a.agg_dense_rows.load(), 20u + 1020u);
-  // Peak memory is a high-water mark, not additive.
-  EXPECT_EQ(a.peak_memory_bytes.load(), 1014u);
+  const std::vector<uint64_t> got = Values(a);
+  for (size_t i = 0; i < got.size(); ++i) {
+    const CounterDef& c = kQueryCounters[i];
+    // Peak memory is a high-water mark, not additive.
+    const uint64_t want = c.merge == CounterMerge::kMax
+                              ? 1000 + (i + 1)
+                              : (i + 1) + (1000 + (i + 1));
+    EXPECT_EQ(got[i], want) << c.name;
+  }
+  // Max keeps the larger side whichever block holds it.
+  QueryMetrics big = MakeFilled(1000);
+  big.Merge(MakeFilled(0));
+  EXPECT_EQ(big.peak_memory_bytes.load(), a.peak_memory_bytes.load());
 }
 
 TEST(QueryMetricsTest, CopyAssignmentReplacesState) {
   QueryMetrics src = MakeFilled(50);
   QueryMetrics dst = MakeFilled(9000);
   dst = src;
-  EXPECT_EQ(dst.pages_read.load(), 51u);
-  EXPECT_EQ(dst.rows_scanned.load(), 54u);
-  EXPECT_EQ(dst.peak_memory_bytes.load(), 64u);
+  EXPECT_EQ(Values(dst), Values(src));
   EXPECT_EQ(dst.dop, 4);
   // Copy, not alias: mutating the copy leaves the source alone.
   dst.pages_read += 1;
-  EXPECT_EQ(src.pages_read.load(), 51u);
+  EXPECT_EQ(src.pages_read.load(), MakeFilled(50).pages_read.load());
 }
 
 TEST(QueryMetricsTest, CopyConstructionMatchesAssignment) {
   QueryMetrics src = MakeFilled(7);
   QueryMetrics copy(src);
-  EXPECT_EQ(copy.rows_scanned.load(), src.rows_scanned.load());
-  EXPECT_EQ(copy.peak_memory_bytes.load(), src.peak_memory_bytes.load());
+  EXPECT_EQ(Values(copy), Values(src));
+  EXPECT_EQ(copy.dop, src.dop);
 }
 
 TEST(QueryMetricsTest, UpdatePeakMemoryIsMonotonic) {

@@ -39,14 +39,17 @@ class SqlTest : public ::testing::Test {
 
   Result<Query> Parse(const std::string& sql) { return ParseSql(db_, sql); }
 
-  QueryResult Exec(const std::string& sql) {
+  QueryResult Exec(const std::string& sql, uint64_t grant = 4ull << 30) {
     auto q = Parse(sql);
     EXPECT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
     Optimizer opt(&db_);
-    auto plan = opt.Plan(*q, Configuration::FromCatalog(db_), {});
+    PlanOptions popts;
+    popts.memory_grant_bytes = grant;
+    auto plan = opt.Plan(*q, Configuration::FromCatalog(db_), popts);
     EXPECT_TRUE(plan.ok());
     ExecContext ctx;
     ctx.db = &db_;
+    ctx.memory_grant_bytes = grant;
     Executor ex(ctx);
     QueryResult r = ex.Execute(*q, plan->plan);
     EXPECT_TRUE(r.ok()) << sql << ": " << r.status.ToString();
@@ -89,6 +92,34 @@ TEST_F(SqlTest, GroupByOrderBy) {
   ASSERT_EQ(r.rows.size(), 4u);
   EXPECT_EQ(r.rows[0][0].str(), "east");
   EXPECT_EQ(r.rows[3][0].str(), "west");
+}
+
+// Strings inserted after a bulk load get dictionary codes out of string
+// order; ORDER BY still returns Value order, whether the rows are sorted
+// in memory, by the external merge sort, or as aggregate groups.
+TEST_F(SqlTest, OrderByStringsInsertedAfterLoad) {
+  auto t = db_.CreateTable("t", Schema({{"s", ValueType::kString, 8}}));
+  ASSERT_TRUE(t.ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 12; ++i) {
+    rows.push_back({Value::String(std::string(1, "bdf"[i % 3]))});
+  }
+  t.value()->BulkLoad(rows);
+  Exec("INSERT INTO t VALUES ('a')");
+  Exec("INSERT INTO t VALUES ('c')");
+  auto letters = [](const QueryResult& r) {
+    std::string s;
+    for (const Row& row : r.rows) s += row[0].str();
+    return s;
+  };
+  const std::string want = "abbbbcddddffff";
+  EXPECT_EQ(letters(Exec("SELECT s FROM t ORDER BY s")), want);
+  // 64 bytes of grant: sorted runs of 8 rows, merged.
+  QueryResult spilled = Exec("SELECT s FROM t ORDER BY s", 64);
+  EXPECT_TRUE(spilled.spilled);
+  EXPECT_EQ(letters(spilled), want);
+  EXPECT_EQ(letters(Exec("SELECT s, count(*) FROM t GROUP BY s ORDER BY s")),
+            "abcdf");
 }
 
 TEST_F(SqlTest, ArithmeticAggregate) {
