@@ -37,6 +37,7 @@ class SelVector {
     n_ = n;
     const size_t nw = NumWords(n);
     if (words_.size() < nw) words_.resize(nw);
+    if (nw == 0) return;  // an empty vector's data() may be null
     std::memset(words_.data(), 0, nw * sizeof(uint64_t));
   }
 

@@ -14,6 +14,11 @@ uint64_t Offset(int64_t v, int64_t base) {
   return static_cast<uint64_t>(v) - static_cast<uint64_t>(base);
 }
 
+/// base + off, the inverse of Offset, added in uint64_t for the same reason.
+int64_t FromOffset(uint64_t off, int64_t base) {
+  return static_cast<int64_t>(static_cast<uint64_t>(base) + off);
+}
+
 }  // namespace
 
 ColumnSegment::~ColumnSegment() { Reset(); }
@@ -249,7 +254,7 @@ void ColumnSegment::Decode(size_t start, size_t count, int64_t* out) const {
     }
     case SegEncoding::kRawPacked: {
       for (size_t i = 0; i < count; ++i) {
-        out[i] = min_ + static_cast<int64_t>(packed_.Get(start + i));
+        out[i] = FromOffset(packed_.Get(start + i), min_);
       }
       break;
     }
@@ -285,7 +290,7 @@ void ColumnSegment::DecodeSelected(size_t start, std::span<const uint32_t> sel,
     }
     case SegEncoding::kRawPacked: {
       for (size_t k = 0; k < sel.size(); ++k) {
-        out[k] = min_ + static_cast<int64_t>(packed_.Get(start + sel[k]));
+        out[k] = FromOffset(packed_.Get(start + sel[k]), min_);
       }
       break;
     }
@@ -371,8 +376,8 @@ bool ColumnSegment::MinMaxWhere(const CodeRange& cr, int64_t* mn,
         any = true;
       }
       if (!any) return false;
-      *mn = min_ + static_cast<int64_t>(lo_seen);
-      *mx = min_ + static_cast<int64_t>(hi_seen);
+      *mn = FromOffset(lo_seen, min_);
+      *mx = FromOffset(hi_seen, min_);
       return true;
     }
   }

@@ -7,6 +7,7 @@
 
 #include "catalog/table.h"
 #include "common/packed.h"
+#include "storage/disk_model.h"
 
 namespace hd {
 
@@ -168,8 +169,9 @@ void AggSink::Eval(const Expr& e, size_t n, const int64_t* const* cols,
   }
 }
 
-void AggSink::Update(int w, size_t n, const int64_t* const* cols) {
+bool AggSink::Update(int w, size_t n, const int64_t* const* cols) {
   UpdatePart(&parts_[w], n, cols, max_groups_);
+  return true;
 }
 
 void AggSink::UpdatePart(Part* p, size_t n, const int64_t* const* cols,
@@ -324,12 +326,13 @@ bool AggSink::KeyLess(const int64_t* a, const int64_t* b,
   return false;
 }
 
-void AggSink::AddRow(int w, const int64_t* vals) {
+bool AggSink::AddRow(int w, const int64_t* vals) {
   Part& p = parts_[w];
   const size_t k = o_.cols.size();
   if (p.stage.empty()) p.stage.resize(std::max<size_t>(1, k) * kStageRows);
   for (size_t c = 0; c < k; ++c) p.stage[c * kStageRows + p.staged] = vals[c];
   if (++p.staged == kStageRows) Flush(&p);
+  return true;
 }
 
 void AggSink::Flush(Part* p) {
@@ -341,10 +344,6 @@ void AggSink::Flush(Part* p) {
   const size_t n = p->staged;
   p->staged = 0;
   UpdatePart(p, n, p->ptrs.data(), max_groups_);
-}
-
-void AggSink::FlushStaged() {
-  for (Part& p : parts_) Flush(&p);
 }
 
 void AggSink::AddPushed(int w, uint64_t rows, const PushAggState* acc) {
@@ -362,10 +361,10 @@ void AggSink::AddPushed(int w, uint64_t rows, const PushAggState* acc) {
   }
 }
 
-uint64_t AggSink::spill_bytes() const {
-  uint64_t rows = 0;
-  for (const Part& p : parts_) rows += p.spill_rows;
-  return rows * o_.cols.size() * 8;
+uint64_t AggSink::rows_in() const {
+  uint64_t n = 0;
+  for (const Part& p : parts_) n += p.rows_in;
+  return n;
 }
 
 void AggSink::Combine(States* d, size_t ds, const States& s,
@@ -392,8 +391,20 @@ void AggSink::MergeHash(Part* into, const Part& from) const {
   }
 }
 
-void AggSink::Finish(QueryResult* res, QueryMetrics* fm) {
-  FlushStaged();
+Status AggSink::Finish(QueryResult* res, QueryMetrics* fm) {
+  uint64_t spill_rows = 0;
+  for (Part& p : parts_) {
+    Flush(&p);
+    spill_rows += p.spill_rows;
+  }
+  if (spill_rows > 0) {
+    // Grace spill: the partitions go to disk and come back for phase 2.
+    const uint64_t bytes = spill_rows * o_.cols.size() * 8;
+    res->spilled = true;
+    fm->spill_bytes += bytes;
+    HD_RETURN_IF_ERROR(o_.disk->Write(bytes, IoPattern::kSequential, fm));
+    HD_RETURN_IF_ERROR(o_.disk->Read(bytes, IoPattern::kSequential, fm));
+  }
   Part& out = parts_[0];
   uint64_t probes = 0;
   uint64_t dense_rows = 0;
@@ -531,6 +542,7 @@ void AggSink::Finish(QueryResult* res, QueryMetrics* fm) {
   fm->hash_probes += probes;
   fm->agg_dense_rows += dense_rows;
   fm->UpdatePeakMemory(state_bytes);
+  return Status::OK();
 }
 
 }  // namespace hd

@@ -1,9 +1,8 @@
 // Batch aggregate sink: every aggregating SELECT feeds its rows here.
 //
-// Rows arrive as batches of *sink columns*: the group-key columns first,
-// then the columns the aggregate arguments read. A batch may be a decoded
-// columnstore batch, a gather at the batch join boundary, or rows the
-// row-mode pipeline staged one at a time (AddRow) — the sink cannot tell.
+// Its sink columns (exec/sink.h) are the group-key columns first, then the
+// columns the aggregate arguments read. Rows the row-mode pipeline adds
+// one at a time (AddRow) are staged and aggregated in batches.
 //
 // Group states are per-aggregate arrays indexed by a group slot, in one of
 // four shapes:
@@ -30,20 +29,12 @@
 
 #include "columnstore/columnstore.h"
 #include "exec/agg_hash.h"
-#include "exec/executor.h"
 #include "exec/query.h"
+#include "exec/sink.h"
 
 namespace hd {
 
 class StringDict;
-class Table;
-
-/// One sink column: the table column its values come from (packed).
-struct SinkColumn {
-  const Table* table = nullptr;
-  int col = 0;
-  ValueType type = ValueType::kInt64;
-};
 
 /// One aggregate over sink columns.
 struct SinkAgg {
@@ -58,7 +49,7 @@ struct SinkAgg {
   Expr expr;
 };
 
-class AggSink {
+class AggSink : public Sink {
  public:
   /// Widest key span aggregated into direct-indexed arrays.
   static constexpr uint64_t kDenseMaxSpan = uint64_t{1} << 16;
@@ -70,8 +61,10 @@ class AggSink {
     size_t key_width = 0;
     std::vector<SinkAgg> aggs;
     int nworkers = 1;
-    /// Memory grant in bytes (0 = unlimited), shared by the workers.
+    /// Memory grant in bytes (0 = unlimited), shared by the workers;
+    /// grace-spilled rows pay simulated I/O on `disk`.
     uint64_t grant = 0;
+    const DiskModel* disk = nullptr;
     /// Inclusive packed range of the single group key, when known before
     /// the scan: the dense candidates.
     bool key_range_known = false;
@@ -92,26 +85,18 @@ class AggSink {
 
   bool dense() const { return mode_ == Mode::kDense; }
 
-  /// Aggregate `n` rows for worker `w`: cols[k] holds the n values of sink
-  /// column k.
-  void Update(int w, size_t n, const int64_t* const* cols);
-  /// Row-at-a-time input: vals[k] is sink column k. Rows are staged and
-  /// aggregated in batches.
-  void AddRow(int w, const int64_t* vals);
+  /// Aggregates every row it is given: never asks the scan to stop.
+  bool Update(int w, size_t n, const int64_t* const* cols) override;
+  bool AddRow(int w, const int64_t* vals) override;
   /// Fold encoded-domain pushdown partials of a global aggregate: `rows`
   /// rows, acc[i] answering aggregate i.
   void AddPushed(int w, uint64_t rows, const PushAggState* acc);
 
-  /// Bytes routed to spill partitions so far (staged rows included after
-  /// FlushStaged).
-  uint64_t spill_bytes() const;
-  void FlushStaged();
-
   /// Merge the workers' states, aggregate the spill partitions, and emit
-  /// the groups into `res` in the Options' output shape (rows capped at
-  /// kMaxMaterializedRows, row_count the true count). Charges hash_probes,
-  /// agg_dense_rows and peak memory to `fm`.
-  void Finish(QueryResult* res, QueryMetrics* fm);
+  /// the groups in the Options' output shape. Charges spill I/O,
+  /// hash_probes, agg_dense_rows and peak memory to `fm`.
+  Status Finish(QueryResult* res, QueryMetrics* fm) override;
+  uint64_t rows_in() const override;
 
  private:
   enum class Mode { kGlobal, kDense, kHash, kSorted };

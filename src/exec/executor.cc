@@ -6,7 +6,6 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
-#include <queue>
 #include <shared_mutex>
 #include <unordered_map>
 
@@ -319,7 +318,6 @@ struct AggDesc {
 struct HashDim {
   std::vector<int64_t> rows;  // flat, stride = dim ncols
   int stride = 0;
-  std::vector<std::pair<int64_t, uint32_t>> build_pairs;
   FlatJoinMap map;
   /// Build-side Bloom filter, pushed into CSI base scans as a join-key
   /// pre-filter (sideways information passing). Empty when never built.
@@ -373,6 +371,8 @@ struct Executor::Impl {
   // Locking strategy for this statement.
   bool use_table_lock = false;
   bool row_read_locks = false;
+  /// Whether each row the statement reads pays ReadRow.
+  bool txn_row_reads = false;
 
   /// Set by RunSelect when this statement's base scan routes through the
   /// cooperative shared-scan pass (ctx.scan_scheduler). The scan is then
@@ -451,9 +451,12 @@ struct Executor::Impl {
   /// from the base view's segment min/max and delta rows, or from a hash
   /// join's build rows. False when unknown.
   bool GroupKeyRange(ColRef g, int64_t* lo, int64_t* hi) const;
-  /// The batch aggregate sink for this query; `refs` receives its columns.
-  std::unique_ptr<AggSink> MakeSink(int nworkers,
-                                    std::vector<ColRef>* refs) const;
+  /// The sink this SELECT ends in: an AggSink when it aggregates, else an
+  /// OutputSink. `refs` receives its columns.
+  std::unique_ptr<Sink> MakeSink(int nworkers, std::vector<ColRef>* refs) const;
+  /// Encoded-domain pushdown specs, one per aggregate, for a global
+  /// aggregate over the base table alone; empty when one has none.
+  std::vector<PushAggSpec> PushdownSpecs() const;
   /// DML under the base table's exclusive `latch` (see LockUnderLatch).
   Status RunDml(std::unique_lock<FairSharedMutex>* latch);
 
@@ -568,7 +571,10 @@ struct Executor::Impl {
   Status LockUnderLatch(std::unique_lock<FairSharedMutex>* latch,
                         const LockResource& res, LockMode mode,
                         bool* relatched);
-  void PayVersionCost(int64_t rid);
+  /// The work a transaction pays per row read (`txn_row_reads`): the
+  /// version chain walk under SI, a row S lock under RC/SR (released at
+  /// once under RC). False after recording a lock failure: stop the scan.
+  bool ReadRow(int64_t rid);
 };
 
 Status Executor::Impl::Setup() {
@@ -601,12 +607,12 @@ Status Executor::Impl::Setup() {
 
   // Locking policy.
   if (ctx.txn != nullptr && ctx.txns != nullptr) {
-    if (q.is_read_only()) {
-      if (ctx.txn->isolation() != IsolationLevel::kSnapshot) {
-        use_table_lock = plan.est_base_rows > ctx.table_lock_threshold;
-        row_read_locks = !use_table_lock;
-      }
+    const bool si = ctx.txn->isolation() == IsolationLevel::kSnapshot;
+    if (q.is_read_only() && !si) {
+      use_table_lock = plan.est_base_rows > ctx.table_lock_threshold;
+      row_read_locks = !use_table_lock;
     }
+    txn_row_reads = si || row_read_locks;
   }
 
   ops = BuildOperatorSkeleton(q, plan, &opx);
@@ -703,27 +709,22 @@ Status Executor::Impl::PrepareJoins() {
     Timer tbuild;
     HashDim& hd = je.hash;
     hd.stride = stride;
+    std::vector<std::pair<int64_t, uint32_t>> pairs;
     for (BuildPart& pt : parts) {
       const uint32_t off = static_cast<uint32_t>(hd.rows.size() / stride);
       if (off == 0) {  // the first non-empty partition moves in
         hd.rows = std::move(pt.rows);
-        hd.build_pairs = std::move(pt.pairs);
+        pairs = std::move(pt.pairs);
         continue;
       }
       hd.rows.insert(hd.rows.end(), pt.rows.begin(), pt.rows.end());
-      for (const auto& [k, v] : pt.pairs) hd.build_pairs.emplace_back(k, v + off);
+      for (const auto& [k, v] : pt.pairs) pairs.emplace_back(k, v + off);
     }
-    hd.map.Build(hd.build_pairs);
-    // Build the pushdown Bloom filter from the build keys before they
-    // are discarded; an empty build side leaves the filter all-zero
-    // (MayContain always false), which is exactly the join's semantics.
-    hd.bloom.Init(hd.build_pairs.size());
-    for (const auto& [k, v] : hd.build_pairs) {
-      (void)v;
-      hd.bloom.Insert(k);
-    }
-    hd.build_pairs.clear();
-    hd.build_pairs.shrink_to_fit();
+    hd.map.Build(pairs);
+    // The pushdown Bloom filter holds the build keys; an empty build side
+    // leaves it all-zero (MayContain always false): the join's semantics.
+    hd.bloom.Init(pairs.size());
+    for (const auto& kv : pairs) hd.bloom.Insert(kv.first);
     m->cpu_ns += static_cast<uint64_t>(tbuild.ElapsedMs() * 1e6);
     joins.push_back(std::move(je));
     DoneReading(ti);  // the build side is in memory now
@@ -818,11 +819,26 @@ Status Executor::Impl::LockUnderLatch(std::unique_lock<FairSharedMutex>* latch,
   return s;
 }
 
-void Executor::Impl::PayVersionCost(int64_t rid) {
-  if (ctx.txn == nullptr || ctx.txns == nullptr) return;
-  if (ctx.txn->isolation() != IsolationLevel::kSnapshot) return;
-  // SI readers traverse the version chain for recently-updated rows.
-  (void)ctx.txns->VersionChainLength(table_hash, rid, ctx.txn->snapshot_ts());
+bool Executor::Impl::ReadRow(int64_t rid) {
+  if (!row_read_locks) {
+    // SI readers traverse the version chain for recently-updated rows.
+    (void)ctx.txns->VersionChainLength(table_hash, rid, ctx.txn->snapshot_ts());
+    return true;
+  }
+  Status s = ctx.txns->locks()->Acquire(ctx.txn->id(),
+                                        LockResource{table_hash, rid},
+                                        LockMode::kS, ctx.lock_timeout_ms,
+                                        ctx.txn->age());
+  if (!s.ok()) {
+    // The lock failure (deadlock victim, injected timeout) becomes the
+    // statement status, so the caller retries.
+    RecordSideError(std::move(s));
+    return false;
+  }
+  if (ctx.txn->isolation() == IsolationLevel::kReadCommitted) {
+    ctx.txns->locks()->Release(ctx.txn->id(), LockResource{table_hash, rid});
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -1076,16 +1092,38 @@ bool Executor::Impl::GroupKeyRange(ColRef g, int64_t* lo, int64_t* hi) const {
   return false;
 }
 
-std::unique_ptr<AggSink> Executor::Impl::MakeSink(
+std::unique_ptr<Sink> Executor::Impl::MakeSink(
     int nworkers, std::vector<ColRef>* refs) const {
-  AggSink::Options o;
-  *refs = q.group_by;
   auto col_of = [refs](ColRef r) {
     auto it = std::find(refs->begin(), refs->end(), r);
     if (it != refs->end()) return static_cast<int>(it - refs->begin());
     refs->push_back(r);
     return static_cast<int>(refs->size()) - 1;
   };
+  auto sink_cols = [&] {
+    std::vector<SinkColumn> cols;
+    for (const ColRef& r : *refs) {
+      cols.push_back(SinkColumn{L.tables[r.table], r.col, L.TypeOf(r)});
+    }
+    return cols;
+  };
+  if (aggs.empty()) {
+    // The select list (every base column for SELECT *), then the ORDER BY
+    // columns it lacks.
+    *refs = q.select_cols;
+    if (refs->empty()) {
+      for (int c = 0; c < base->num_columns(); ++c) refs->push_back({0, c});
+    }
+    const size_t nout = refs->size();
+    std::vector<int> order_keys;
+    for (const ColRef& ob : q.order_by) order_keys.push_back(col_of(ob));
+    return std::make_unique<OutputSink>(OutputSink::Options{
+        .cols = sink_cols(), .nout = nout, .order_keys = std::move(order_keys),
+        .sort = plan.explicit_sort, .limit = q.limit, .nworkers = nworkers,
+        .grant = ctx.memory_grant_bytes, .disk = ctx.db->disk()});
+  }
+  AggSink::Options o;
+  *refs = q.group_by;
   for (const AggDesc& a : aggs) {
     SinkAgg s;
     s.fn = a.fn;
@@ -1102,12 +1140,11 @@ std::unique_ptr<AggSink> Executor::Impl::MakeSink(
     }
     o.aggs.push_back(std::move(s));
   }
-  for (const ColRef& r : *refs) {
-    o.cols.push_back(SinkColumn{L.tables[r.table], r.col, L.TypeOf(r)});
-  }
+  o.cols = sink_cols();
   o.key_width = q.group_by.size();
   o.nworkers = nworkers;
   o.grant = ctx.memory_grant_bytes;
+  o.disk = ctx.db->disk();
   // A stream aggregate reads the group key in order: one running group.
   o.sorted_input = plan.agg == AggMethod::kStream;
   // ORDER BY names group columns; their positions in the group key.
@@ -1126,110 +1163,66 @@ std::unique_ptr<AggSink> Executor::Impl::MakeSink(
   return std::make_unique<AggSink>(std::move(o));
 }
 
+std::vector<PushAggSpec> Executor::Impl::PushdownSpecs() const {
+  std::vector<PushAggSpec> out;
+  if (aggs.empty() || !q.group_by.empty() || !q.joins.empty()) return out;
+  // Min/max push any column (packing preserves order); SUM/AVG only
+  // integer columns (double sums need value-domain addition).
+  using F = PushAggSpec::Fn;
+  for (const AggDesc& a : aggs) {
+    const bool sum = a.fn == AggSpec::Fn::kSum || a.fn == AggSpec::Fn::kAvg;
+    const bool min = a.fn == AggSpec::Fn::kMin;
+    if (a.fn == AggSpec::Fn::kCount && !a.has_arg) {
+      out.push_back({F::kCount, 0});
+    } else if (a.arg_is_col && a.fn != AggSpec::Fn::kCount &&
+               (!sum || a.arg_is_int)) {
+      out.push_back({sum ? F::kSum : min ? F::kMin : F::kMax, a.arg_col.col});
+    } else {
+      return {};
+    }
+  }
+  return out;
+}
+
 Status Executor::Impl::RunSelect() {
-  QueryMetrics* m = &res.metrics;
-
   HD_RETURN_IF_ERROR(PrepareJoins());
-
-  const bool has_aggs = !aggs.empty();
-  const bool stream_agg = plan.agg == AggMethod::kStream;
 
   // Shared-scan routing. A non-transactional single-table SELECT over a
   // CSI attaches to the cooperative pass when a scheduler is configured —
-  // UNLESS the query is structurally answerable by encoded-domain
-  // aggregate pushdown (every non-COUNT aggregate's predicates sit on its
-  // own column): those queries decode nothing, so sharing a decode would
-  // only cost them. Stream aggregation and scan-provided ordering need
-  // ascending row order, which the circular pass does not give.
-  auto structurally_pushable = [&]() {
-    if (aggs.empty() || !q.group_by.empty()) return false;
-    for (const auto& a : aggs) {
-      int col = -1;
-      if (a.fn == AggSpec::Fn::kCount && !a.has_arg) continue;
-      if ((a.fn == AggSpec::Fn::kSum || a.fn == AggSpec::Fn::kAvg) &&
-          a.arg_is_col && a.arg_is_int && a.arg_col.table == 0) {
-        col = a.arg_col.col;
-      } else if ((a.fn == AggSpec::Fn::kMin || a.fn == AggSpec::Fn::kMax) &&
-                 a.arg_is_col && a.arg_col.table == 0) {
-        col = a.arg_col.col;
-      } else {
-        return false;
-      }
-      for (const auto& p : base_preds) {
-        if (p.col != col) return false;
-      }
-    }
-    return true;
-  };
+  // UNLESS encoded-domain aggregate pushdown answers it structurally
+  // (every non-COUNT aggregate's predicates sit on its own column): those
+  // queries decode nothing, so sharing a decode would only cost them.
+  // Stream aggregation and scan-provided ordering need ascending row
+  // order, which the circular pass does not give.
+  const std::vector<PushAggSpec> pspecs = PushdownSpecs();
+  const bool pushable =
+      !pspecs.empty() &&
+      std::all_of(pspecs.begin(), pspecs.end(), [&](const PushAggSpec& a) {
+        return a.fn == PushAggSpec::Fn::kCount ||
+               std::all_of(base_preds.begin(), base_preds.end(),
+                           [&](const BoundPred& p) { return p.col == a.col; });
+      });
   use_shared_scan = ctx.scan_scheduler != nullptr && ctx.txn == nullptr &&
                     plan.base.is_csi() && joins.empty() &&
-                    plan.driving_join < 0 && !stream_agg &&
-                    (q.order_by.empty() || plan.explicit_sort) &&
-                    !structurally_pushable();
+                    plan.driving_join < 0 && plan.agg != AggMethod::kStream &&
+                    (q.order_by.empty() || plan.explicit_sort) && !pushable;
   // The shared pass is consumed by this thread alone: concurrency comes
   // from the other queries attached to the same pass, not from morsels.
   const int nworkers = use_shared_scan ? 1 : dop();
-  m->dop = nworkers;
+  res.metrics.dop = nworkers;
 
-  // Output projection slots when not aggregating.
-  std::vector<int> proj_slots;
-  std::vector<ColRef> proj_refs = q.select_cols;
-  if (!has_aggs) {
-    if (proj_refs.empty()) {
-      for (int c = 0; c < base->num_columns(); ++c) {
-        proj_refs.push_back(ColRef{0, c});
-      }
-    }
-    // Sort keys must ride along; remember where they live in the projected
-    // row.
-    for (const auto& o : q.order_by) {
-      if (std::find(proj_refs.begin(), proj_refs.end(), o) == proj_refs.end()) {
-        proj_refs.push_back(o);
-      }
-    }
-    for (const auto& r : proj_refs) proj_slots.push_back(L.SlotOf(r));
-  }
-  std::vector<int> sort_pos;  // positions of order_by cols in projected row
-  for (const auto& o : q.order_by) {
-    for (size_t i = 0; i < proj_refs.size(); ++i) {
-      if (proj_refs[i] == o) {
-        sort_pos.push_back(static_cast<int>(i));
-        break;
-      }
-    }
-  }
-
-  const uint64_t grant = ctx.memory_grant_bytes;
-
-  // Aggregation: every aggregating shape feeds the one batch sink. Its
-  // columns are the group keys, then the aggregate inputs (sink_refs).
+  // The statement's one sink; its columns (sink_refs) are all the
+  // pipeline delivers.
   std::vector<ColRef> sink_refs;
-  std::unique_ptr<AggSink> sink;
-  if (has_aggs) sink = MakeSink(nworkers, &sink_refs);
+  const std::unique_ptr<Sink> sink = MakeSink(nworkers, &sink_refs);
   std::vector<int> sink_slots;
   for (const ColRef& r : sink_refs) sink_slots.push_back(L.SlotOf(r));
   std::vector<std::vector<int64_t>> sink_row(
       nworkers, std::vector<int64_t>(sink_refs.size()));
 
-  // Collection (projection / sort input): flat packed rows per worker.
-  struct Collected {
-    std::vector<int64_t> rows;
-    uint64_t count = 0;
-  };
-  std::vector<Collected> collected(nworkers);
-
-  // Encoded-domain aggregate pushdown (global aggregates over a CSI base):
-  // per-worker partial states folded into the sink after the scan. Empty
-  // pspecs = pushdown not applicable to this query. pushed_rows counts
-  // rows the pushdown logically aggregated per worker — they flow
+  // Rows encoded-domain aggregate pushdown answered, per worker: they flow
   // scan→agg in the operator profiles even though no batch materialized.
-  std::vector<PushAggSpec> pspecs;
-  std::vector<std::vector<PushAggState>> pacc;
   std::vector<uint64_t> pushed_rows(nworkers, 0);
-
-  std::atomic<int64_t> emitted{0};
-  const int64_t limit =
-      (q.limit >= 0 && !has_aggs && q.order_by.empty()) ? q.limit : -1;
 
   // Per-worker row-flow counters, folded into the operator profiles after
   // the scan (plain uint64 per worker: no hot-path atomics).
@@ -1239,44 +1232,13 @@ Status Executor::Impl::RunSelect() {
                                              std::vector<uint64_t>(nworkers, 0));
   std::vector<std::vector<uint64_t>> join_out(
       nsteps, std::vector<uint64_t>(nworkers, 0));
-  std::vector<uint64_t> sink_in(nworkers, 0);
 
-  // The per-row consumer running after joins.
+  // The row-mode pipeline's end: one wide row into the sink.
   auto consume = [&](int w, const int64_t* wide, int64_t rid) -> bool {
-    sink_in[w]++;
-    PayVersionCost(rid);
-    if (row_read_locks) {
-      Status s = ctx.txns->locks()->Acquire(
-          ctx.txn->id(), LockResource{table_hash, rid}, LockMode::kS,
-          ctx.lock_timeout_ms, ctx.txn->age());
-      if (!s.ok()) {
-        // Stop the scan and surface the lock failure (deadlock victim /
-        // injected timeout) as the statement status so the caller retries.
-        RecordSideError(std::move(s));
-        return false;
-      }
-      if (ctx.txn->isolation() == IsolationLevel::kReadCommitted) {
-        ctx.txns->locks()->Release(ctx.txn->id(), LockResource{table_hash, rid});
-      }
-    }
-    if (sink != nullptr) {
-      int64_t* v = sink_row[w].data();
-      for (size_t k = 0; k < sink_slots.size(); ++k) v[k] = wide[sink_slots[k]];
-      sink->AddRow(w, v);
-      return true;
-    }
-    // Collection path. Without a sort, output streams to the client: only
-    // the materialization window is buffered (no server-side memory).
-    Collected& c = collected[w];
-    c.count++;
-    if (plan.explicit_sort || c.count <= QueryResult::kMaxMaterializedRows) {
-      for (int slot : proj_slots) c.rows.push_back(wide[slot]);
-    }
-    if (limit >= 0) {
-      const int64_t e = emitted.fetch_add(1) + 1;
-      if (e >= limit) return false;
-    }
-    return true;
+    if (txn_row_reads && !ReadRow(rid)) return false;
+    int64_t* v = sink_row[w].data();
+    for (size_t k = 0; k < sink_slots.size(); ++k) v[k] = wide[sink_slots[k]];
+    return sink->AddRow(w, v);
   };
 
   // Join pipeline: expand wide rows through join steps, then consume.
@@ -1337,15 +1299,12 @@ Status Executor::Impl::RunSelect() {
   };
 
   // A columnstore base whose join steps are all hash joins runs the
-  // batch pipeline; an auto-commit aggregate over it feeds the batch sink
-  // straight from batches (stream aggregation keeps its per-row order).
+  // batch pipeline.
   const bool batch_base =
       plan.base.is_csi() && plan.driving_join < 0 &&
       std::all_of(joins.begin(), joins.end(), [](const JoinExec& j) {
         return j.method == JoinStep::Method::kHash;
       });
-  const bool batch_sink =
-      batch_base && sink != nullptr && !stream_agg && ctx.txn == nullptr;
   ResolvedPath base_rp;
   HD_RETURN_IF_ERROR(ResolvePath(*base, plan.base, &base_rp));
   Status scan_status;
@@ -1404,28 +1363,24 @@ Status Executor::Impl::RunSelect() {
     }
     sm->cpu_ns += static_cast<uint64_t>(t.ElapsedMs() * 1e6) +
                   static_cast<uint64_t>(fact_entries * ctx.serial_row_overhead_ns);
-    if (opx.join[driving_step] >= 0) {
-      ops[opx.join[driving_step]].rows_in = dim_rows;
-      ops[opx.join[driving_step]].rows_out = dim_rows;
-      ops[opx.scan].rows_in = fact_entries;
-    }
-  } else if (batch_base && (batch_sink || !joins.empty())) {
+    ops[opx.join[driving_step]].rows_in = dim_rows;
+    ops[opx.join[driving_step]].rows_out = dim_rows;
+    ops[opx.scan].rows_in = fact_entries;
+  } else if (batch_base) {
     // ---- Batch pipeline (CSI base, all-hash join steps). ----
     // Each decoded batch carries a probe selection (prow: surviving batch
     // positions) plus one build-row vector per completed step. A step
     // gathers the key column through prow, runs the vectorized
     // ComputeHashes / FindSlots / ExpandMatches kernels, and remaps the
     // carried vectors through the matches — multi-match keys expand, FK
-    // -> PK takes the 1-match fast path. At the end, an auto-commit
-    // aggregate gathers only its sink columns (base columns through prow,
-    // dimension columns through the build rows) into the batch sink. Any
-    // other statement materializes the wide row per surviving match and
-    // calls consume, so locks and versions are paid as in row mode.
+    // -> PK takes the 1-match fast path. At the end, a statement in a
+    // transaction pays ReadRow on each surviving match's locator, as row
+    // mode pays it per row, and only the sink columns are gathered (base
+    // columns through prow, dimension columns through the build rows)
+    // into the sink. No wide row is built.
     CsiScan scan = MakeCsiScan(0, base_preds);
-    const std::vector<int>& cols = scan.cols;
-    const int ncneed = static_cast<int>(cols.size());
     std::vector<int> colslot(base->num_columns(), -1);
-    for (int i = 0; i < ncneed; ++i) colslot[cols[i]] = i;
+    for (size_t i = 0; i < scan.cols.size(); ++i) colslot[scan.cols[i]] = i;
     // Batch-column index of each step's base join key (base wide slots
     // coincide with base column ids — the base is table 0 at offset 0).
     std::vector<int> key_ci(nsteps, -1);
@@ -1445,42 +1400,20 @@ Status Executor::Impl::RunSelect() {
         if (plan.joins[s].join_idx + 1 == r.table) src_step[k] = s;
       }
     }
-    if (batch_sink && joins.empty() && q.group_by.empty()) {
-      // Map the aggregate list onto encoded-domain pushdown specs. All-or-
-      // nothing: a row group is either answered entirely from segment
-      // metadata / encoded kernels or scanned normally. Min/max can push
-      // any single column (packing is order-preserving); SUM/AVG only
-      // integer columns (double sums need value-domain addition).
-      for (const auto& a : aggs) {
-        PushAggSpec s;
-        if (a.fn == AggSpec::Fn::kCount && !a.has_arg) {
-          s.fn = PushAggSpec::Fn::kCount;
-        } else if ((a.fn == AggSpec::Fn::kSum || a.fn == AggSpec::Fn::kAvg) &&
-                   a.arg_is_col && a.arg_is_int) {
-          s.fn = PushAggSpec::Fn::kSum;
-          s.col = a.arg_col.col;
-        } else if ((a.fn == AggSpec::Fn::kMin || a.fn == AggSpec::Fn::kMax) &&
-                   a.arg_is_col) {
-          s.fn = a.fn == AggSpec::Fn::kMin ? PushAggSpec::Fn::kMin
-                                           : PushAggSpec::Fn::kMax;
-          s.col = a.arg_col.col;
-        } else {
-          pspecs.clear();
-          break;
-        }
-        pspecs.push_back(s);
-      }
-    }
-    if (!pspecs.empty()) {
-      pacc.assign(nworkers, std::vector<PushAggState>(pspecs.size()));
-      // A row group answered entirely in the encoded domain never reaches
-      // the batch handler (Fig. 4 aggregate pushdown).
-      scan.pushdown = [&](int w, int g, QueryMetrics* wm) {
+    if (!pspecs.empty() && ctx.txn == nullptr) {
+      // A row group answered entirely from segment metadata and encoded
+      // kernels never reaches the batch handler (Fig. 4 aggregate
+      // pushdown); its partials fold straight into the sink, an AggSink.
+      // A statement in a transaction reads every row (ReadRow): no pushdown.
+      auto* agg = static_cast<AggSink*>(sink.get());
+      scan.pushdown = [&, agg](int w, int g, QueryMetrics* wm) {
+        std::vector<PushAggState> acc(pspecs.size());
         uint64_t pr = 0;
         if (!scan.view->TryPushdownAggregates(g, scan.preds, pspecs,
-                                              pacc[w].data(), wm, &pr)) {
+                                              acc.data(), wm, &pr)) {
           return false;
         }
+        agg->AddPushed(w, pr, acc.data());
         pushed_rows[w] += pr;
         return true;
       };
@@ -1551,59 +1484,41 @@ Status Executor::Impl::RunSelect() {
         }
         if (cur == 0) return true;
         if (nsteps > 0) prow = js.prow.data();
-        if (batch_sink) {
-          sink_in[w] += cur;
-          for (size_t k = 0; k < nsink; ++k) {
-            std::vector<int64_t>& g = js.gathered[k];
-            if (src_step[k] < 0) {
-              const int64_t* src = b.cols[src_ci[k]];
-              if (prow == nullptr) {
-                js.in[k] = src;
-                continue;
-              }
-              g.resize(cur);
-              for (size_t j = 0; j < cur; ++j) g[j] = src[prow[j]];
-            } else {
-              const HashDim& hd = joins[src_step[k]].hash;
-              const int64_t* src = hd.rows.data() + sink_refs[k].col;
-              const uint32_t* br = js.brows[src_step[k]].data();
-              g.resize(cur);
-              for (size_t j = 0; j < cur; ++j) {
-                g[j] = src[static_cast<size_t>(br[j]) * hd.stride];
-              }
+        if (txn_row_reads) {
+          for (size_t j = 0; j < cur; ++j) {
+            const uint32_t pi =
+                prow != nullptr ? prow[j] : static_cast<uint32_t>(j);
+            if (!ReadRow(b.locators != nullptr ? b.locators[pi] : -1)) {
+              return false;
             }
-            js.in[k] = g.data();
           }
-          sink->Update(w, cur, js.in.data());
-          return true;
         }
-        // Consume boundary: the only wide-row materialization in the
-        // pipeline, paid per surviving match.
-        int64_t* wide = wide_bufs[w].data();
-        for (size_t j = 0; j < cur; ++j) {
-          const uint32_t pi = prow[j];
-          for (int c = 0; c < ncneed; ++c) wide[cols[c]] = b.cols[c][pi];
-          for (size_t s = 0; s < nsteps; ++s) {
-            const HashDim& hd = joins[s].hash;
-            const int64_t* dim_row =
-                hd.rows.data() +
-                static_cast<size_t>(js.brows[s][j]) * hd.stride;
-            std::copy(dim_row, dim_row + hd.stride,
-                      wide + joins[s].dim_offset);
+        for (size_t k = 0; k < nsink; ++k) {
+          std::vector<int64_t>& g = js.gathered[k];
+          if (src_step[k] < 0) {
+            const int64_t* src = b.cols[src_ci[k]];
+            if (prow == nullptr) {
+              js.in[k] = src;
+              continue;
+            }
+            g.resize(cur);
+            for (size_t j = 0; j < cur; ++j) g[j] = src[prow[j]];
+          } else {
+            const HashDim& hd = joins[src_step[k]].hash;
+            const int64_t* src = hd.rows.data() + sink_refs[k].col;
+            const uint32_t* br = js.brows[src_step[k]].data();
+            g.resize(cur);
+            for (size_t j = 0; j < cur; ++j) {
+              g[j] = src[static_cast<size_t>(br[j]) * hd.stride];
+            }
           }
-          const int64_t rid = b.locators != nullptr
-                                  ? b.locators[pi]
-                                  : -1;
-          if (!consume(w, wide, rid)) return false;
+          js.in[k] = g.data();
         }
-        return true;
+        return sink->Update(w, cur, js.in.data());
       };
     };
     scan_status =
         DriveCsi(scan, nworkers, ScanM(), ops[opx.scan].name, make_handler);
-    for (size_t w = 0; w < pacc.size(); ++w) {
-      sink->AddPushed(static_cast<int>(w), pushed_rows[w], pacc[w].data());
-    }
   } else {
     scan_status = ScanTable(
         0, plan.base, base_preds, nworkers, ScanM(), ops[opx.scan].name,
@@ -1621,6 +1536,11 @@ Status Executor::Impl::RunSelect() {
   // Every table read is done: merge, sort and decode run unlatched.
   latches.clear();
 
+  auto fold = [](const std::vector<uint64_t>& v) {
+    uint64_t t = 0;
+    for (uint64_t c : v) t += c;
+    return t;
+  };
   if (!plan.base.is_csi()) {
     // Row-mode probe overhead, charged per join step from its inflow.
     const double rate = nworkers > 1 ? ctx.parallel_row_overhead_ns
@@ -1628,132 +1548,24 @@ Status Executor::Impl::RunSelect() {
     for (size_t s = 0; s < nsteps; ++s) {
       if (static_cast<int>(s) == driving_step) continue;
       if (joins[s].method != JoinStep::Method::kHash) continue;
-      uint64_t probes = 0;
-      for (uint64_t c : join_in[s]) probes += c;
-      OpM(opx.join[s])->cpu_ns += static_cast<uint64_t>(probes * rate);
+      OpM(opx.join[s])->cpu_ns +=
+          static_cast<uint64_t>(fold(join_in[s]) * rate);
     }
   }
 
-  // ---- Finish: merge worker states, spill phase 2, sort, decode. ----
+  // ---- Finish: merge worker states, spill, sort, decode. ----
   // Finish-phase charges (merge cpu, spill io, peak memory) land on the
   // root-side operator that does the work: Agg, else Sort, else Project.
-  QueryMetrics* fm = has_aggs ? OpM(opx.agg)
-                     : (plan.explicit_sort && !sort_pos.empty())
+  QueryMetrics* fm = !aggs.empty() ? OpM(opx.agg)
+                     : (plan.explicit_sort && !q.order_by.empty())
                          ? OpM(opx.sort)
                          : OpM(opx.output);
   Timer tfin;
-  if (sink != nullptr) {
-    sink->FlushStaged();
-    const uint64_t spill_total = sink->spill_bytes();
-    if (spill_total > 0) {
-      res.spilled = true;
-      fm->spill_bytes += spill_total;
-      HD_RETURN_IF_ERROR(
-          ctx.db->disk()->Write(spill_total, IoPattern::kSequential, fm));
-      HD_RETURN_IF_ERROR(
-          ctx.db->disk()->Read(spill_total, IoPattern::kSequential, fm));
-    }
-    sink->Finish(&res, fm);
-  } else {
-    // Collected rows: concatenate, sort if needed, decode.
-    const size_t stride = proj_slots.size();
-    size_t total_rows = 0;
-    for (auto& s : collected) total_rows += s.count;
-    std::vector<int64_t> all;
-    all.reserve(total_rows * stride);
-    for (auto& s : collected) {
-      all.insert(all.end(), s.rows.begin(), s.rows.end());
-      s.rows.clear();
-      s.rows.shrink_to_fit();
-    }
-    const uint64_t bytes = all.size() * 8;
-    fm->UpdatePeakMemory(bytes);
-    // Output order: a sorted row index, or scan order when `idx` is empty.
-    std::vector<uint32_t> idx;
-    if (plan.explicit_sort && !sort_pos.empty()) {
-      idx.resize(total_rows);
-      std::iota(idx.begin(), idx.end(), 0u);
-      // Decided once, after the scan: strings compare through their
-      // dictionary only where codes fell out of string order.
-      std::vector<const StringDict*> dicts;
-      for (const ColRef& o : q.order_by) {
-        dicts.push_back(UnorderedDict(L.tables[o.table]->dict(o.col)));
-      }
-      auto cmp = [&](uint32_t a, uint32_t b) {
-        for (size_t k = 0; k < sort_pos.size(); ++k) {
-          const int64_t va = all[a * stride + sort_pos[k]];
-          const int64_t vb = all[b * stride + sort_pos[k]];
-          if (va != vb) return PackedLess(va, vb, dicts[k]);
-        }
-        return a < b;
-      };
-      if (bytes > grant && grant > 0) {
-        // External merge sort: sorted runs of grant-size + k-way merge.
-        res.spilled = true;
-        fm->spill_bytes += bytes;
-        HD_RETURN_IF_ERROR(
-            ctx.db->disk()->Write(bytes, IoPattern::kSequential, fm));
-        HD_RETURN_IF_ERROR(
-            ctx.db->disk()->Read(bytes, IoPattern::kSequential, fm));
-        const size_t run_rows =
-            std::max<size_t>(1, grant / 8 / std::max<size_t>(1, stride));
-        std::vector<std::pair<size_t, size_t>> runs;
-        for (size_t b2 = 0; b2 < total_rows; b2 += run_rows) {
-          const size_t e2 = std::min(total_rows, b2 + run_rows);
-          std::sort(idx.begin() + b2, idx.begin() + e2, cmp);
-          runs.emplace_back(b2, e2);
-        }
-        // K-way merge.
-        std::vector<uint32_t> merged;
-        merged.reserve(total_rows);
-        using HeapEnt = std::pair<uint32_t, size_t>;  // (row idx, run#)
-        auto hcmp = [&](const HeapEnt& a, const HeapEnt& b) {
-          return cmp(b.first, a.first);
-        };
-        std::priority_queue<HeapEnt, std::vector<HeapEnt>, decltype(hcmp)> pq(
-            hcmp);
-        std::vector<size_t> pos(runs.size());
-        for (size_t r2 = 0; r2 < runs.size(); ++r2) {
-          pos[r2] = runs[r2].first;
-          if (pos[r2] < runs[r2].second) pq.push({idx[pos[r2]], r2});
-        }
-        while (!pq.empty()) {
-          auto [ri, rn] = pq.top();
-          pq.pop();
-          merged.push_back(ri);
-          if (++pos[rn] < runs[rn].second) pq.push({idx[pos[rn]], rn});
-        }
-        idx = std::move(merged);
-      } else {
-        std::sort(idx.begin(), idx.end(), cmp);
-      }
-    }
-    size_t out_n = total_rows;
-    if (q.limit >= 0) out_n = std::min<size_t>(out_n, q.limit);
-    res.row_count = out_n;
-    const size_t matn =
-        std::min<size_t>(out_n, QueryResult::kMaxMaterializedRows);
-    const size_t nsel = q.select_cols.empty() ? stride : q.select_cols.size();
-    for (size_t i = 0; i < matn; ++i) {
-      const size_t ri = idx.empty() ? i : idx[i];
-      Row r;
-      for (size_t p2 = 0; p2 < nsel; ++p2) {
-        const ColRef& ref = proj_refs[p2];
-        r.push_back(
-            L.tables[ref.table]->UnpackValue(ref.col, all[ri * stride + p2]));
-      }
-      res.rows.push_back(std::move(r));
-    }
-  }
+  HD_RETURN_IF_ERROR(sink->Finish(&res, fm));
   fm->cpu_ns += static_cast<uint64_t>(tfin.ElapsedMs() * 1e6);
 
   // Fold the per-worker row-flow counters into the operator profiles.
   // Rows answered by encoded-domain pushdown flow scan→agg logically too.
-  auto fold = [](const std::vector<uint64_t>& v) {
-    uint64_t t = 0;
-    for (uint64_t c : v) t += c;
-    return t;
-  };
   const uint64_t pushed = fold(pushed_rows);
   if (opx.scan >= 0) ops[opx.scan].rows_out = fold(base_out) + pushed;
   for (size_t s = 0; s < nsteps; ++s) {
@@ -1761,16 +1573,18 @@ Status Executor::Impl::RunSelect() {
     ops[opx.join[s]].rows_in = fold(join_in[s]);
     ops[opx.join[s]].rows_out = fold(join_out[s]);
   }
-  const uint64_t into_sink = fold(sink_in) + pushed;
-  if (opx.agg >= 0) ops[opx.agg].rows_in = into_sink;
-  if (opx.output >= 0) ops[opx.output].rows_in = into_sink;
-  if (opx.sort >= 0 && opx.agg < 0) ops[opx.sort].rows_in = into_sink;
-  if (opx.agg >= 0) ops[opx.agg].rows_out = res.row_count;
-  if (opx.sort >= 0) {
-    if (opx.agg >= 0) ops[opx.sort].rows_in = res.row_count;
-    ops[opx.sort].rows_out = res.row_count;
+  // The sink's input enters Agg, Project and a Sort before Project; a
+  // Sort after Agg takes the groups. Every root-side node returns the
+  // result.
+  const uint64_t into_sink = sink->rows_in() + pushed;
+  for (int i : {opx.agg, opx.sort, opx.output}) {
+    if (i >= 0) ops[i].rows_out = res.row_count;
   }
-  if (opx.output >= 0) ops[opx.output].rows_out = res.row_count;
+  if (opx.agg >= 0) ops[opx.agg].rows_in = into_sink;
+  if (opx.sort >= 0) {
+    ops[opx.sort].rows_in = opx.agg >= 0 ? res.row_count : into_sink;
+  }
+  if (opx.output >= 0) ops[opx.output].rows_in = into_sink;
   return Status::OK();
 }
 
@@ -1941,39 +1755,29 @@ QueryResult Executor::Execute(const Query& q, const PhysicalPlan& plan) {
         .count();
   };
   Impl impl(ctx_, q, plan);
-  impl.res.plan_desc = plan.Describe();
   impl.res.trace_id = ctx_.capture.trace_id;
   // Admission gate: non-transactional SELECTs acquire a slot before any
   // latch or lock (a queued query holds nothing). Statements inside a
   // transaction bypass the gate — stalling a lock holder in the admission
   // queue would invite deadlocks the lock manager cannot see.
+  // A shed statement runs nothing but is still captured: a store that
+  // hides admission rejections would under-report exactly the overload
+  // the advisor most needs to see.
   AdmissionController::Ticket ticket;
+  Status s;
   if (ctx_.admission != nullptr && q.kind == Query::Kind::kSelect &&
       ctx_.txn == nullptr) {
     const bool tracing = Trace::Enabled();
     const uint64_t tr0 = tracing ? Trace::Global().NowUs() : 0;
-    Status as = ctx_.admission->Admit(ctx_.memory_grant_bytes, &ticket);
+    s = ctx_.admission->Admit(ctx_.memory_grant_bytes, &ticket);
     impl.res.queue_ms = wall_ms_since();
     if (tracing) {
       Trace::Global().Record("AdmissionWait", 0, tr0,
                              Trace::Global().NowUs() - tr0, 0,
                              ctx_.capture.trace_id, "admission");
     }
-    if (!as.ok()) {
-      // Shed queries are still captured: a store that hides admission
-      // rejections would under-report exactly the overload the advisor
-      // most needs to see.
-      impl.res.status = std::move(as);
-      SStats().errors->Add(1);
-      SStats().ForKind(q.kind)->Record(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - stmt_t0)
-              .count());
-      CaptureRecord(ctx_, q, impl.res, wall_ms_since());
-      return std::move(impl.res);
-    }
   }
-  Status s = impl.Setup();
+  if (s.ok()) s = impl.Setup();
   if (s.ok()) {
     // Physical latches: shared for reads, held per table only while the
     // statement reads that table (LatchAndPin, DoneReading); exclusive on
@@ -2020,7 +1824,7 @@ QueryResult Executor::Execute(const Query& q, const PhysicalPlan& plan) {
   // after the merge it is: sum over operators + residual.
   for (const auto& op : impl.ops) impl.res.metrics.Merge(op.metrics);
   impl.res.operators = std::move(impl.ops);
-  impl.res.metrics.dop = impl.use_shared_scan ? 1 : impl.dop();
+  impl.res.plan_desc = plan.Describe(impl.res.metrics.dop);
   {
     const QueryMetrics& qm = impl.res.metrics;
     if (qm.join_batch_probes.load() > 0) {

@@ -108,16 +108,18 @@ void RenderNode(std::ostringstream& os, const OperatorProfile& op,
   os << "\n";
 }
 
-std::string Render(const Query& q, const PhysicalPlan& plan,
-                   const std::vector<OperatorProfile>& ops, bool analyze,
+/// EXPLAIN when `r` is null, else EXPLAIN ANALYZE of the run `r`.
+std::string Render(const PhysicalPlan& plan,
+                   const std::vector<OperatorProfile>& ops,
                    const QueryResult* r) {
   std::ostringstream os;
-  os << (analyze ? "EXPLAIN ANALYZE" : "EXPLAIN") << " " << plan.Describe()
-     << "\n";
+  // The header names the DOP the statement ran at; EXPLAIN runs nothing.
+  os << (r != nullptr ? "EXPLAIN ANALYZE " : "EXPLAIN ")
+     << plan.Describe(r != nullptr ? r->metrics.dop : 1) << "\n";
   for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-    RenderNode(os, *it, analyze);
+    RenderNode(os, *it, r != nullptr);
   }
-  if (analyze && r != nullptr) {
+  if (r != nullptr) {
     os << "Query totals (rollup of all operators + residual): "
        << r->metrics.ToString() << "\n";
     if (r->trace_id != 0) {
@@ -127,7 +129,6 @@ std::string Render(const Query& q, const PhysicalPlan& plan,
       os << "Trace: " << FingerprintHex(r->trace_id) << "\n";
     }
   }
-  (void)q;
   return os.str();
 }
 
@@ -135,7 +136,7 @@ std::string Render(const Query& q, const PhysicalPlan& plan,
 
 std::string ExplainPlan(const Query& q, const PhysicalPlan& plan) {
   std::vector<OperatorProfile> ops = BuildOperatorSkeleton(q, plan);
-  return Render(q, plan, ops, /*analyze=*/false, nullptr);
+  return Render(plan, ops, nullptr);
 }
 
 std::string ExplainAnalyze(const Query& q, const PhysicalPlan& plan,
@@ -144,7 +145,7 @@ std::string ExplainAnalyze(const Query& q, const PhysicalPlan& plan,
     // Executor did not run (error paths): fall back to estimates.
     return ExplainPlan(q, plan);
   }
-  return Render(q, plan, r.operators, /*analyze=*/true, &r);
+  return Render(plan, r.operators, &r);
 }
 
 }  // namespace hd

@@ -64,7 +64,8 @@ struct PhysicalPlan {
   AggMethod agg = AggMethod::kNone;
   /// Sort needed to satisfy ORDER BY (false if the base path provides it).
   bool explicit_sort = false;
-  /// Degree of parallelism for the base scan.
+  /// Degree of parallelism asked for the base scan; the executor runs at
+  /// most the pool's cap (QueryMetrics::dop has what it ran at).
   int dop = 1;
   /// If >= 0, the plan is dimension-driven: joins[driving_join]'s dim table
   /// is scanned as the outer side and each of its rows seeks the base
@@ -86,7 +87,8 @@ struct PhysicalPlan {
     return leaf_btree_count() > 0 && leaf_csi_count() > 0;
   }
 
-  std::string Describe() const;
+  /// The plan shape, with " (dop=N)" when it ran at `run_dop` > 1.
+  std::string Describe(int run_dop = 1) const;
 };
 
 inline std::string AccessPath::Describe() const {
@@ -126,13 +128,13 @@ inline int PhysicalPlan::leaf_heap_count() const {
   return n;
 }
 
-inline std::string PhysicalPlan::Describe() const {
+inline std::string PhysicalPlan::Describe(int run_dop) const {
   std::string s = base.Describe();
   for (const auto& j : joins) s += " -> " + j.Describe();
   if (agg == AggMethod::kHash) s += " -> HashAgg";
   if (agg == AggMethod::kStream) s += " -> StreamAgg";
   if (explicit_sort) s += " -> Sort";
-  if (dop > 1) s += " (dop=" + std::to_string(dop) + ")";
+  if (run_dop > 1) s += " (dop=" + std::to_string(run_dop) + ")";
   return s;
 }
 

@@ -10,7 +10,10 @@
 // in the columnstore's delta store take part in every cell, including
 // keys outside the compressed row groups' range. A third copy behind a
 // B+ tree on the group key checks the sorted (stream aggregate) state,
-// which holds one running group and a bounded set of closed ones.
+// which holds one running group and a bounded set of closed ones. Last,
+// statements inside a transaction — aggregates and the output sink's
+// projection, ORDER BY and LIMIT — run the same batch pipeline and must
+// match row mode, row locks included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "exec/agg_sink.h"
 #include "exec/executor.h"
 #include "exec/scan_scheduler.h"
@@ -572,6 +576,103 @@ TEST_F(AggSinkTest, StreamAggregateMemoryStaysBoundedPastTheOutputCap) {
   // groups on top of twice the LIMIT).
   EXPECT_LT(lim.metrics.peak_memory_bytes.load(), all_groups_bytes / 10);
   EXPECT_EQ(lim.metrics.hash_probes.load(), 0u);
+}
+
+// A statement in a transaction runs the batch pipeline like an auto-commit
+// one: its per-row transaction work — the row S lock under RC, the version
+// chain walk under SI — is paid on each surviving match's locator, and
+// only the sink columns are gathered. Every consumer, with and without a
+// hash join, over compressed and delta rows, must match the heap plan;
+// under RC both plans must take the same row S locks.
+TEST_F(AggSinkTest, TransactionStatementsOnTheBatchPipelineMatchRowMode) {
+  TCounter* grants = Telemetry::Instance().Counter("lock.grants");
+  auto run = [&](const Query& q, bool batch, int dop, IsolationLevel iso,
+                 uint64_t* locks) {
+    PhysicalPlan p;
+    p.base.kind =
+        batch ? AccessPath::Kind::kCsiScan : AccessPath::Kind::kHeapScan;
+    for (size_t s = 0; s < q.joins.size(); ++s) {
+      JoinStep js;
+      js.join_idx = static_cast<int>(s);
+      js.dim_path.kind = AccessPath::Kind::kHeapScan;
+      p.joins.push_back(js);
+    }
+    p.agg = q.aggs.empty() ? AggMethod::kNone : AggMethod::kHash;
+    p.explicit_sort = !q.order_by.empty();
+    p.dop = dop;
+    TransactionManager tm;
+    auto txn = tm.Begin(iso);
+    ExecContext ctx;
+    ctx.db = &db_;
+    ctx.max_dop = dop;
+    ctx.txn = txn.get();
+    ctx.txns = &tm;
+    const uint64_t before = grants->Value();
+    QueryResult r = Executor(ctx).Execute(On(q, batch), p);
+    *locks = grants->Value() - before;
+    EXPECT_TRUE(tm.Commit(txn.get()).ok());
+    return r;
+  };
+  // m_int leads every output row, so ORDER BY m_int is checkable.
+  auto sorted_on_first = [](const QueryResult& r) {
+    for (size_t i = 1; i < r.rows.size(); ++i) {
+      if (r.rows[i - 1][0].Compare(r.rows[i][0]) > 0) return false;
+    }
+    return true;
+  };
+  for (bool join : {false, true}) {
+    Query base;
+    base.base.preds.push_back(
+        Pred::Between(kSmall, Value::Int64(-5), Value::Int64(5)));
+    if (join) base.joins.push_back(DimJoin());
+    Query proj = base;
+    proj.select_cols = {ColRef{0, kMInt}, ColRef{0, kTag}, ColRef{0, kMDbl}};
+    if (join) proj.select_cols.push_back(ColRef{1, kGrp});
+    Query order = proj;
+    order.order_by = {ColRef{0, kMInt}};
+    Query limit = proj;
+    limit.limit = 25;
+    Query agg = base;
+    agg.group_by = {join ? ColRef{1, kGrp} : ColRef{0, kTag}};
+    agg.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, kMInt), "s")};
+    const std::pair<const char*, Query> cells[] = {
+        {"projection", proj}, {"order_by", order}, {"limit", limit},
+        {"group_by", agg}};
+    for (const auto& [name, q] : cells) {
+      for (IsolationLevel iso :
+           {IsolationLevel::kReadCommitted, IsolationLevel::kSnapshot}) {
+        for (int dop : {1, 4}) {
+          SCOPED_TRACE(std::string(name) + (join ? " join " : " ") +
+                       IsolationLevelName(iso) + " dop" + std::to_string(dop));
+          uint64_t batch_locks = 0, row_locks = 0;
+          QueryResult rb = run(q, true, dop, iso, &batch_locks);
+          QueryResult rr = run(q, false, dop, iso, &row_locks);
+          ASSERT_TRUE(rb.ok()) << rb.status.ToString();
+          ASSERT_TRUE(rr.ok()) << rr.status.ToString();
+          if (join) EXPECT_GT(rb.metrics.join_batch_probes.load(), 0u);
+          if (q.limit >= 0) {
+            // LIMIT without ORDER BY: any 25 qualifying rows.
+            EXPECT_EQ(rb.row_count, 25u);
+            EXPECT_EQ(rb.rows.size(), 25u);
+            EXPECT_EQ(rr.row_count, 25u);
+            continue;
+          }
+          ExpectSameRows(rb, rr);
+          ASSERT_GT(rb.row_count, 0u);
+          if (!q.order_by.empty()) {
+            EXPECT_TRUE(sorted_on_first(rb));
+            EXPECT_TRUE(sorted_on_first(rr));
+          }
+          if (iso == IsolationLevel::kReadCommitted) {
+            EXPECT_GT(row_locks, 0u);
+            EXPECT_EQ(batch_locks, row_locks);
+          } else {
+            EXPECT_EQ(batch_locks, 0u);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -127,6 +127,38 @@ TEST(ExplainRenderTest, AnalyzeShowsActualsAndTotals) {
   EXPECT_NE(s.find("Query totals"), std::string::npos) << s;
 }
 
+// A plan costed at DOP 8 on a pool capped at 4 runs at 4: the EXPLAIN
+// ANALYZE header, the totals line and plan_desc all name the DOP the
+// statement ran at. EXPLAIN runs nothing and names none.
+TEST(ExplainRenderTest, HeaderDopIsTheDopTheStatementRanAt) {
+  Database db;
+  MakeSortedCsi(&db, "t");
+  Query q = MicroQ1("t", 0.2, 999999);
+  Optimizer opt(&db);
+  PlanOptions popts;
+  popts.max_dop = 8;
+  auto plan = opt.Plan(q, Configuration::FromCatalog(db), popts);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->plan.dop, 8) << plan->plan.Describe();
+  ExecContext ctx;
+  ctx.db = &db;
+  ctx.max_dop = 4;
+  QueryResult r = Executor(ctx).Execute(q, plan->plan);
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.metrics.dop, 4);
+  const std::string s = ExplainAnalyze(q, plan->plan, r);
+  const std::string header = s.substr(0, s.find('\n'));
+  const size_t totals_at = s.find("Query totals");
+  ASSERT_NE(totals_at, std::string::npos) << s;
+  const std::string totals =
+      s.substr(totals_at, s.find('\n', totals_at) - totals_at);
+  EXPECT_NE(header.find("(dop=4)"), std::string::npos) << s;
+  EXPECT_NE(totals.find(" dop=4"), std::string::npos) << s;
+  EXPECT_EQ(s.find("dop=8"), std::string::npos) << s;
+  EXPECT_EQ(header, "EXPLAIN ANALYZE " + r.plan_desc);
+  EXPECT_EQ(ExplainPlan(q, plan->plan).find("dop="), std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Attribution contract: operator counters sum to the query totals.
 // ---------------------------------------------------------------------

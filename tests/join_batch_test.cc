@@ -245,6 +245,31 @@ TEST_F(BatchJoinTest, LimitStopsBatchJoinEarly) {
   EXPECT_LT(r.metrics.rows_scanned.load(), 200000u);
 }
 
+// A columnstore projection without joins ends in the output sink too: a
+// LIMIT without ORDER BY stops the scan once the sink has its rows, at
+// DOP 1 and across morsel workers, and Project counts only the rows the
+// sink took.
+TEST_F(BatchJoinTest, LimitStopsColumnstoreProjectionEarly) {
+  MakeFacts(200000, 399);
+  Query q;
+  q.base.table = "fact_csi";
+  q.select_cols = {ColRef{0, 0}, ColRef{0, 1}};
+  q.limit = 10;
+  for (int dop : {1, 4}) {
+    SCOPED_TRACE(dop);
+    PhysicalPlan p;
+    p.base.kind = AccessPath::Kind::kCsiScan;
+    p.dop = dop;
+    QueryResult r = ExecPlan(&db_, q, p, dop);
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    EXPECT_EQ(r.row_count, 10u);
+    EXPECT_EQ(r.rows.size(), 10u);
+    EXPECT_LT(r.metrics.rows_scanned.load(), 200000u);
+    ASSERT_EQ(r.operators.back().name, "Project");
+    EXPECT_EQ(r.operators.back().rows_in, 10u);
+  }
+}
+
 TEST_F(BatchJoinTest, AllPlanShapesAgree) {
   // Hash (batch + row), index-NL, and dimension-driven plans over the
   // same logical join must produce the same aggregate.
