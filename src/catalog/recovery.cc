@@ -15,6 +15,7 @@
 
 #include "catalog/database.h"
 #include "catalog/table.h"
+#include "common/byte_codec.h"
 #include "common/failpoint.h"
 #include "common/telemetry.h"
 
@@ -26,69 +27,6 @@ namespace {
 // magic. Installed atomically via tmp + fsync + rename; the CURRENT file
 // names the live checkpoint so a crash mid-install never orphans readers.
 constexpr char kCkptMagic[8] = {'H', 'D', 'C', 'K', 'P', 'T', '0', '1'};
-
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-/// Bounds-checked reader over the checkpoint body.
-struct Cursor {
-  const uint8_t* p;
-  size_t n;
-  bool ok = true;
-
-  bool Need(size_t k) {
-    if (n < k) ok = false;
-    return ok;
-  }
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    uint8_t v = *p;
-    ++p;
-    --n;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    n -= 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    n -= 8;
-    return v;
-  }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  std::string Str() {
-    uint32_t len = U32();
-    if (!Need(len)) return "";
-    std::string s(reinterpret_cast<const char*>(p), len);
-    p += len;
-    n -= len;
-    return s;
-  }
-};
 
 Status ReadFileAll(const std::string& path, std::vector<uint8_t>* out) {
   int fd = ::open(path.c_str(), O_RDONLY);
@@ -189,7 +127,7 @@ void SerializeIndexDef(std::vector<uint8_t>* out, const IndexDef& def) {
   for (int c : def.included_cols) PutU32(out, static_cast<uint32_t>(c));
 }
 
-IndexDef DeserializeIndexDef(Cursor* c) {
+IndexDef DeserializeIndexDef(ByteCursor* c) {
   IndexDef def;
   def.name = c->Str();
   def.type = c->U8() == 1 ? IndexDef::Type::kColumnStore : IndexDef::Type::kBTree;
@@ -392,7 +330,7 @@ Status LoadCheckpoint(Database* db, const std::string& dir,
     return Status::Corruption("checkpoint CRC mismatch: " + name);
   }
 
-  Cursor c{body, body_n};
+  ByteCursor c{body, body_n};
   const uint64_t next_lsn = c.U64();
   const uint64_t next_txn = c.U64();
   const uint64_t redo_start = c.U64();

@@ -44,6 +44,68 @@ uint64_t NextVersion() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Predicates on one column, translated into one row group's encoded
+/// domain: the intersected value range and its code range.
+struct GroupPred {
+  int col;
+  int64_t lo, hi;
+  const ColumnSegment* seg;
+  ColumnSegment::CodeRange cr;
+};
+
+/// Translate `preds` into row group `g`'s encoded domain: one dictionary
+/// binary search per predicate, ranges on one column intersected (code
+/// space is ordered like value space). False when no row can match — min/
+/// max data skipping, a dictionary miss inside the [min,max] envelope, or
+/// disjoint ranges — and the caller skips the group. Otherwise `active`
+/// holds the columns whose predicates are not proven all-pass (an `all`
+/// result drops the predicate: decode-only).
+bool TranslatePreds(const RowGroup& g, const std::vector<SegPredicate>& preds,
+                    std::vector<GroupPred>* active) {
+  active->clear();
+  for (const auto& p : preds) {
+    const ColumnSegment& seg = g.segment(p.col);
+    const ColumnSegment::CodeRange cr = seg.TranslateRange(p.lo, p.hi);
+    if (cr.none) return false;
+    if (cr.all) continue;
+    auto it = std::find_if(active->begin(), active->end(),
+                           [&](const GroupPred& a) { return a.col == p.col; });
+    if (it == active->end()) {
+      active->push_back(GroupPred{p.col, p.lo, p.hi, &seg, cr});
+      continue;
+    }
+    it->lo = std::max(it->lo, p.lo);
+    it->hi = std::min(it->hi, p.hi);
+    it->cr.lo = std::max(it->cr.lo, cr.lo);
+    it->cr.hi = std::min(it->cr.hi, cr.hi);
+    if (it->cr.hi < it->cr.lo) return false;
+  }
+  return true;
+}
+
+/// Compact `sel` (nsel row offsets from `start` in row group `cg`) to the
+/// live rows: not set in the group's delete bitmap and not in the delete
+/// buffer `dead`. locs[s] is row sel[s]'s locator and moves with it.
+/// Returns the live count.
+int KeepLive(const CsiGroup& cg, const std::unordered_set<int64_t>& dead,
+             size_t start, uint32_t* sel, int64_t* locs, int nsel) {
+  const bool check_dead = !dead.empty();
+  int k = 0;
+  for (int s = 0; s < nsel; ++s) {
+    bool live = !cg.IsDeleted(start + sel[s]);
+    if (live && check_dead) live = !dead.count(locs[s]);
+    sel[k] = sel[s];
+    locs[k] = locs[s];
+    k += live;
+  }
+  return k;
+}
+
+/// Fill sel[0, n) with the identity selection.
+void Identity(uint32_t* sel, int n) {
+  for (int i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
+}
+
 }  // namespace
 
 ColumnStoreIndex::ColumnStoreIndex(Kind kind, int num_columns,
@@ -405,29 +467,28 @@ Result<CsiViewPtr> ColumnStoreIndex::Pin(const std::vector<int>& delta_cols,
   v->version_ = version_;
   v->groups_ = groups_;
   HD_RETURN_IF_ERROR(SnapshotDeleteBuffer(&v->dead_, m));
-  v->delta_slot_.assign(ncols_, -1);
-  std::vector<int> pinned;
+  DecodedGroup& d = v->delta_;
   for (int c : delta_cols) {
-    if (c < 0 || c >= ncols_ || v->delta_slot_[c] >= 0) continue;
-    v->delta_slot_[c] = static_cast<int>(pinned.size());
-    pinned.push_back(c);
+    if (c < 0 || c >= ncols_ || d.column(c) != nullptr) continue;
+    d.cols.push_back(c);
+    d.values.emplace_back();
   }
   const uint64_t n = delta_rows();
-  v->delta_vals_.resize(pinned.size());
   if (n > 0) {
-    for (auto& col : v->delta_vals_) col.reserve(n);
-    v->delta_locs_.reserve(n);
+    for (auto& col : d.values) col.reserve(n);
+    d.locators.reserve(n);
     HD_RETURN_IF_ERROR(delta_->Scan(
         Bound::Unbounded(), Bound::Unbounded(),
         [&](const int64_t*, const int64_t* payload) {
-          for (size_t i = 0; i < pinned.size(); ++i) {
-            v->delta_vals_[i].push_back(payload[pinned[i]]);
+          for (size_t i = 0; i < d.cols.size(); ++i) {
+            d.values[i].push_back(payload[d.cols[i]]);
           }
-          v->delta_locs_.push_back(payload[ncols_]);
+          d.locators.push_back(payload[ncols_]);
           return true;
         },
         m));
   }
+  d.rows = d.locators.size();
   return CsiViewPtr(std::move(v));
 }
 
@@ -445,11 +506,12 @@ bool CsiReadView::ColumnRange(int col, int64_t* lo, int64_t* hi) const {
     *lo = std::min(*lo, seg.min_value());
     *hi = std::max(*hi, seg.max_value());
   }
-  if (!delta_locs_.empty()) {
-    if (delta_slot_[col] < 0) return false;
-    for (int64_t v : delta_vals_[delta_slot_[col]]) {
-      *lo = std::min(*lo, v);
-      *hi = std::max(*hi, v);
+  if (delta_.rows > 0) {
+    const int64_t* vals = delta_.column(col);
+    if (vals == nullptr) return false;
+    for (size_t i = 0; i < delta_.rows; ++i) {
+      *lo = std::min(*lo, vals[i]);
+      *hi = std::max(*hi, vals[i]);
     }
   }
   return *lo <= *hi;
@@ -473,9 +535,7 @@ Status CsiReadView::ScanGroups(
     }
   }
   std::vector<char> col_done(cols_needed.size(), 0);
-  // Anti-join set from the delete buffer (secondary CSI only).
-  const std::unordered_set<int64_t>& dead = dead_;
-  const bool check_dead = !dead.empty();
+  const bool check_dead = !dead_.empty();
 
   // Scratch buffers reused across batches.
   std::vector<std::vector<int64_t>> dec(cols_needed.size());
@@ -485,34 +545,12 @@ Status CsiReadView::ScanGroups(
   std::vector<std::vector<int64_t>> out_cols(cols_needed.size());
   for (auto& d : out_cols) d.resize(kBatchSize);
   std::vector<uint32_t> sel(kBatchSize);
-  // Predicates translated into the current group's encoded domain.
-  struct GroupPred {
-    const ColumnSegment* seg;
-    ColumnSegment::CodeRange cr;
-  };
   std::vector<GroupPred> active;
-  active.reserve(preds.size());
 
   for (int gi = group_begin; gi < group_end; ++gi) {
     const CsiGroup& cg = (*groups_)[gi];
     const RowGroup& g = *cg.rows;
-    // Translate each predicate into this group's encoded domain: one
-    // dictionary binary search per segment. A `none` result eliminates
-    // the group (min/max data skipping, or a dictionary miss inside the
-    // [min,max] envelope); an `all` result proves every row passes, so
-    // the scan skips predicate evaluation entirely (decode-only).
-    active.clear();
-    bool skip = false;
-    for (const auto& p : preds) {
-      const ColumnSegment& seg = g.segment(p.col);
-      ColumnSegment::CodeRange cr = seg.TranslateRange(p.lo, p.hi);
-      if (cr.none) {
-        skip = true;
-        break;
-      }
-      if (!cr.all) active.push_back(GroupPred{&seg, cr});
-    }
-    if (skip) {
+    if (!TranslatePreds(g, preds, &active)) {
       if (m != nullptr) m->segments_skipped += cols_needed.size() + 1;
       continue;
     }
@@ -569,26 +607,13 @@ Status CsiReadView::ScanGroups(
               loc_buf.data());
         }
       }
-      // Filter deleted rows: bitmap, then delete-buffer anti-join. The
-      // compaction keeps loc_buf aligned with sel.
+      // Filter deleted rows; the compaction keeps loc_buf aligned with sel.
       if (check_dead || cg.has_deletes()) {
-        if (dense) {
-          for (int i = 0; i < take; ++i) sel[i] = static_cast<uint32_t>(i);
-          dense = false;
-        }
-        int k = 0;
-        for (int s = 0; s < nsel; ++s) {
-          const uint32_t i = sel[s];
-          bool live = !cg.IsDeleted(start + i);
-          if (live && check_dead) live = !dead.count(loc_buf[s]);
-          sel[k] = i;
-          loc_buf[k] = loc_buf[s];
-          k += live;
-        }
-        nsel = k;
+        if (dense) Identity(sel.data(), take);
+        nsel = KeepLive(cg, dead_, start, sel.data(), loc_buf.data(), nsel);
         if (nsel == 0) continue;
         // Every row survived: sel is the identity again.
-        if (nsel == take) dense = true;
+        dense = nsel == take;
       }
       // Bloom pushdown: decode each pushed join key for surviving rows
       // only, and drop rows whose key cannot be on the build side —
@@ -603,7 +628,7 @@ Status CsiReadView::ScanGroups(
           const size_t ci = kf_ci[fi];
           if (ci == cols_needed.size() || kf.bloom == nullptr) continue;
           if (dense) {
-            for (int i = 0; i < take; ++i) sel[i] = static_cast<uint32_t>(i);
+            Identity(sel.data(), take);
             dense = false;
           }
           const ColumnSegment& kseg = g.segment(cols_needed[ci]);
@@ -718,152 +743,133 @@ Status CsiReadView::ScanDecodedGroup(
     const std::vector<SegPredicate>& preds,
     const std::function<bool(const ColumnBatch&)>& fn, QueryMetrics* m,
     bool need_locators, bool* stopped) const {
+  return ScanImage(dg, cols_needed, preds, fn, m, need_locators,
+                   /*key_filters=*/nullptr, stopped);
+}
+
+Status CsiReadView::ScanImage(
+    const DecodedGroup& img, const std::vector<int>& cols_needed,
+    const std::vector<SegPredicate>& preds,
+    const std::function<bool(const ColumnBatch&)>& fn, QueryMetrics* m,
+    bool need_locators, const std::vector<ScanKeyFilter>* key_filters,
+    bool* stopped) const {
   if (stopped != nullptr) *stopped = false;
-  const CsiGroup& cg = (*groups_)[dg.group];
-  const RowGroup& g = *cg.rows;
-  const bool check_dead = !dead_.empty();
-
-  // Dense column pointers for the consumer's projection.
-  std::vector<const int64_t*> dense(cols_needed.size());
-  for (size_t ci = 0; ci < cols_needed.size(); ++ci) {
-    dense[ci] = dg.column(cols_needed[ci]);
-    if (dense[ci] == nullptr) {
-      return Status::Internal("shared scan: column missing from decoded group");
-    }
-  }
-
-  // Predicate translation mirrors ScanGroups for group-level skipping: a
-  // `none` eliminates the whole group (the decode was shared, but this
-  // consumer still skips the evaluation), `all` drops the predicate.
-  // Surviving predicates split by where they evaluate: when the pass
-  // decoded the predicate column into the shared image (the scheduler adds
-  // predicate columns to the image union, so this is the common case), the
-  // compare runs directly on the dense decoded values — a branchless loop
-  // over contiguous int64s that also builds the selection vector in place,
-  // with no bitmap ToIndices materialization. That per-consumer evaluation
-  // is the dominant residual cost of a shared pass once decode is
-  // amortized, so it must not re-run the heavier encoded-domain run
-  // kernels N times per group. Predicates whose column is absent from the
-  // image fall back to the encoded path.
-  struct GroupPred {
-    const ColumnSegment* seg;
-    ColumnSegment::CodeRange cr;
+  const size_t n = img.rows;
+  if (n == 0) return Status::OK();
+  bool missing = false;
+  auto column = [&](int col) {
+    const int64_t* v = img.column(col);
+    missing |= v == nullptr;
+    return v;
   };
-  struct DensePred {
-    const int64_t* vals;  // group-relative dense decoded column
+  std::vector<const int64_t*> dense;
+  for (int c : cols_needed) dense.push_back(column(c));
+  // Delta rows (group -1) are always live: a delete-buffer locator marks
+  // the *compressed* copy dead, and a delta row with the same locator is
+  // the row's live, newer version (delete-then-insert update pattern).
+  const CsiGroup* cg = img.group >= 0 ? &(*groups_)[img.group] : nullptr;
+
+  // Predicates compare on the dense values: a branchless loop over
+  // contiguous int64s that builds the selection vector in place. For a
+  // row group, translation first eliminates the whole group (the decode
+  // was shared, but this consumer still skips the evaluation) or drops
+  // all-pass predicates.
+  std::vector<GroupPred> active;
+  if (cg == nullptr) {
+    for (const SegPredicate& p : preds) {
+      active.push_back(GroupPred{p.col, p.lo, p.hi, nullptr, {}});
+    }
+  } else if (!TranslatePreds(*cg->rows, preds, &active)) {
+    if (m != nullptr) m->segments_skipped += cols_needed.size() + 1;
+    return Status::OK();
+  }
+  struct ValuePred {
+    const int64_t* vals;
     int64_t lo, hi;
   };
-  std::vector<GroupPred> encoded;
-  std::vector<DensePred> valued;
-  for (const auto& p : preds) {
-    const ColumnSegment& seg = g.segment(p.col);
-    ColumnSegment::CodeRange cr = seg.TranslateRange(p.lo, p.hi);
-    if (cr.none) {
-      if (m != nullptr) m->segments_skipped += cols_needed.size() + 1;
-      return Status::OK();
-    }
-    if (cr.all) continue;
-    const int64_t* dv = dg.column(p.col);
-    if (dv != nullptr) {
-      valued.push_back(DensePred{dv, p.lo, p.hi});
-    } else {
-      encoded.push_back(GroupPred{&seg, cr});
+  std::vector<ValuePred> valued;
+  for (const GroupPred& a : active) {
+    valued.push_back(ValuePred{column(a.col), a.lo, a.hi});
+  }
+  std::vector<std::pair<const ScanKeyFilter*, const int64_t*>> blooms;
+  if (key_filters != nullptr) {
+    for (const ScanKeyFilter& kf : *key_filters) {
+      if (kf.bloom != nullptr) blooms.emplace_back(&kf, column(kf.col));
     }
   }
+  if (missing) {
+    return Status::Internal("column missing from the scanned image");
+  }
 
-  SelVector match;
+  const bool filter_deletes =
+      cg != nullptr && (!dead_.empty() || cg->has_deletes());
   std::vector<uint32_t> sel(kBatchSize);
-  const size_t n = dg.rows;
-  const bool filter_deletes = check_dead || cg.has_deletes();
+  std::vector<int64_t> locs(filter_deletes ? kBatchSize : 0);
   for (size_t start = 0; start < n; start += kBatchSize) {
     const int take = static_cast<int>(std::min<size_t>(kBatchSize, n - start));
-    int nsel;
-    bool all_pass;
-    if (encoded.empty() && valued.empty()) {
-      all_pass = true;
-      nsel = take;
-    } else {
-      if (!encoded.empty()) {
-        match.Reset(take);
-        uint64_t runs = 0;
-        for (size_t pi = 0; pi < encoded.size(); ++pi) {
-          runs += encoded[pi].seg->EvalRange(start, take, encoded[pi].cr,
-                                             /*refine=*/pi > 0, &match);
-        }
-        if (m != nullptr) m->runs_evaluated += runs;
-        if (match.NoneSet()) {
-          if (m != nullptr) m->rows_scanned += take;
-          continue;
-        }
-        all_pass = match.AllSet();
-        nsel = all_pass ? take : match.ToIndices(sel.data());
-      } else {
-        // First dense predicate builds the selection vector branchlessly.
-        const DensePred& f = valued[0];
-        const int64_t* v = f.vals + start;
-        nsel = 0;
+    // all_pass: every row of the batch survives and sel is not consulted.
+    int nsel = take;
+    bool all_pass = true;
+    for (const ValuePred& vp : valued) {
+      const int64_t* v = vp.vals + start;
+      int k = 0;
+      if (all_pass) {
         for (int i = 0; i < take; ++i) {
-          sel[nsel] = static_cast<uint32_t>(i);
-          nsel += static_cast<int>((v[i] >= f.lo) & (v[i] <= f.hi));
+          sel[k] = static_cast<uint32_t>(i);
+          k += static_cast<int>((v[i] >= vp.lo) & (v[i] <= vp.hi));
         }
-        all_pass = (nsel == take);
-      }
-      // Remaining dense predicates refine by compacting the selection
-      // vector in place.
-      const size_t vfirst = encoded.empty() ? 1 : 0;
-      for (size_t pi = vfirst; pi < valued.size(); ++pi) {
-        if (all_pass) {
-          for (int i = 0; i < take; ++i) sel[i] = static_cast<uint32_t>(i);
-          all_pass = false;
-        }
-        const DensePred& vp = valued[pi];
-        const int64_t* v = vp.vals + start;
-        int k = 0;
-        for (int s2 = 0; s2 < nsel; ++s2) {
-          const uint32_t i = sel[s2];
+      } else {
+        for (int s = 0; s < nsel; ++s) {
+          const uint32_t i = sel[s];
           sel[k] = i;
           k += static_cast<int>((v[i] >= vp.lo) & (v[i] <= vp.hi));
         }
-        nsel = k;
-        if (nsel == take) all_pass = true;
       }
-      if (nsel == 0) {
-        if (m != nullptr) m->rows_scanned += take;
-        continue;
-      }
+      nsel = k;
+      all_pass = nsel == take;
     }
     if (m != nullptr) {
       m->rows_scanned += take;
       m->rows_selected += nsel;
     }
-    // Delete filtering compacts the selection vector in place; the pass
-    // guarantees dg.locators is populated whenever this can fire.
+    if (nsel == 0) continue;
+    // The pass decodes locators whenever a row group filters deletes.
     if (filter_deletes) {
-      if (all_pass) {
-        for (int i = 0; i < take; ++i) sel[i] = static_cast<uint32_t>(i);
-        all_pass = false;
-      }
-      const int64_t* locs = dg.locators.data() + start;
+      if (all_pass) Identity(sel.data(), take);
+      const int64_t* dl = img.locators.data() + start;
+      for (int s = 0; s < nsel; ++s) locs[s] = dl[sel[s]];
+      nsel = KeepLive(*cg, dead_, start, sel.data(), locs.data(), nsel);
+      if (nsel == 0) continue;
+      all_pass = nsel == take;
+    }
+    // Bloom pushdown on the surviving rows, one filter at a time; checks
+    // and drops are charged to each owning join.
+    for (const auto& [kf, keys] : blooms) {
+      if (all_pass) Identity(sel.data(), take);
       int k = 0;
       for (int s = 0; s < nsel; ++s) {
         const uint32_t i = sel[s];
-        bool live = !cg.IsDeleted(start + i);
-        if (live && check_dead) live = !dead_.count(locs[i]);
         sel[k] = i;
-        k += live;
+        k += static_cast<int>(kf->bloom->MayContain(keys[start + i]));
+      }
+      if (kf->m != nullptr) {
+        kf->m->join_bloom_checks += static_cast<uint64_t>(nsel);
+        kf->m->join_bloom_filtered += static_cast<uint64_t>(nsel - k);
       }
       nsel = k;
-      if (nsel == 0) continue;
+      all_pass = nsel == take;
+      if (nsel == 0) break;
     }
+    if (nsel == 0) continue;
     ColumnBatch batch;
     batch.count = nsel;
     batch.cols.resize(cols_needed.size());
     for (size_t ci = 0; ci < cols_needed.size(); ++ci) {
       batch.cols[ci] = dense[ci] + start;
     }
-    batch.locators =
-        (need_locators && !dg.locators.empty()) ? dg.locators.data() + start
-                                                : nullptr;
+    batch.locators = (need_locators && !img.locators.empty())
+                         ? img.locators.data() + start
+                         : nullptr;
     batch.sel = all_pass ? nullptr : sel.data();
     if (m != nullptr) m->rows_output += nsel;
     if (!fn(batch)) {
@@ -887,43 +893,14 @@ bool CsiReadView::TryPushdownAggregates(
   const size_t n = g.num_rows();
   if (n == 0) return true;
 
-  // Translate predicates into this group's encoded domain, intersecting
-  // multiple ranges on the same column (code space is totally ordered).
-  struct GroupPred {
-    const ColumnSegment* seg;
-    ColumnSegment::CodeRange cr;
-    int col;
-  };
   std::vector<GroupPred> active;
-  active.reserve(preds.size());
-  for (const auto& p : preds) {
-    const ColumnSegment& seg = g.segment(p.col);
-    const ColumnSegment::CodeRange cr = seg.TranslateRange(p.lo, p.hi);
-    if (cr.none) {
-      // Group eliminated: every spec contributes zero rows.
-      if (m != nullptr) {
-        m->segments_skipped += specs.size() + 1;
-        m->aggs_pushed_down += specs.size();
-      }
-      return true;
+  if (!TranslatePreds(g, preds, &active)) {
+    // Group eliminated: every spec contributes zero rows.
+    if (m != nullptr) {
+      m->segments_skipped += specs.size() + 1;
+      m->aggs_pushed_down += specs.size();
     }
-    if (cr.all) continue;
-    bool merged = false;
-    for (auto& a : active) {
-      if (a.col != p.col) continue;
-      a.cr.lo = std::max(a.cr.lo, cr.lo);
-      a.cr.hi = std::min(a.cr.hi, cr.hi);
-      merged = true;
-      if (a.cr.hi < a.cr.lo) {
-        if (m != nullptr) {
-          m->segments_skipped += specs.size() + 1;
-          m->aggs_pushed_down += specs.size();
-        }
-        return true;
-      }
-      break;
-    }
-    if (!merged) active.push_back(GroupPred{&seg, cr, p.col});
+    return true;
   }
   const bool all_pass = active.empty();
 
@@ -1029,88 +1006,10 @@ bool CsiReadView::TryPushdownAggregates(
 
 Status CsiReadView::ScanDelta(
     const std::vector<int>& cols_needed, const std::vector<SegPredicate>& preds,
-    const std::function<bool(const ColumnBatch&)>& fn, QueryMetrics* m,
+    const std::function<bool(const ColumnBatch&)>& fn, QueryMetrics*,
     const std::vector<ScanKeyFilter>* key_filters) const {
-  (void)m;  // the delta rows were read (and charged) at pin time
-  const size_t n = delta_locs_.size();
-  if (n == 0) return Status::OK();
-  auto pinned = [&](int col) -> const int64_t* {
-    const int slot = col >= 0 && col < ncols_ ? delta_slot_[col] : -1;
-    return slot >= 0 ? delta_vals_[slot].data() : nullptr;
-  };
-  struct ColPred {
-    const int64_t* vals;
-    int64_t lo, hi;
-  };
-  std::vector<ColPred> cpreds;
-  for (const auto& p : preds) {
-    const int64_t* v = pinned(p.col);
-    if (v == nullptr) return Status::Internal("delta column not pinned");
-    cpreds.push_back(ColPred{v, p.lo, p.hi});
-  }
-  std::vector<const int64_t*> filter_cols;
-  const size_t nfilters = key_filters != nullptr ? key_filters->size() : 0;
-  for (size_t fi = 0; fi < nfilters; ++fi) {
-    const ScanKeyFilter& kf = (*key_filters)[fi];
-    const int64_t* v = kf.bloom != nullptr ? pinned(kf.col) : nullptr;
-    if (kf.bloom != nullptr && v == nullptr) {
-      return Status::Internal("delta column not pinned");
-    }
-    filter_cols.push_back(v);
-  }
-  std::vector<const int64_t*> out_src(cols_needed.size());
-  for (size_t ci = 0; ci < cols_needed.size(); ++ci) {
-    out_src[ci] = pinned(cols_needed[ci]);
-    if (out_src[ci] == nullptr) return Status::Internal("delta column not pinned");
-  }
-  // Note: the delete buffer does NOT apply here. A locator in the buffer
-  // marks the *compressed* copy dead; a delta row with the same locator is
-  // the row's live, newer version (delete-then-insert update pattern).
-  std::vector<uint32_t> sel(kBatchSize);
-  std::vector<std::vector<int64_t>> out_cols(cols_needed.size());
-  for (auto& d : out_cols) d.resize(kBatchSize);
-  std::vector<int64_t> out_locs(kBatchSize);
-  for (size_t start = 0; start < n; start += kBatchSize) {
-    const size_t take = std::min<size_t>(kBatchSize, n - start);
-    int nsel = 0;
-    for (size_t i = 0; i < take; ++i) {
-      const size_t r = start + i;
-      bool keep = true;
-      for (const ColPred& p : cpreds) {
-        keep &= p.vals[r] >= p.lo && p.vals[r] <= p.hi;
-      }
-      sel[nsel] = static_cast<uint32_t>(r);
-      nsel += keep;
-    }
-    // Bloom pushdown on the surviving rows, one filter at a time; checks
-    // and drops are charged to each owning join.
-    for (size_t fi = 0; fi < nfilters && nsel > 0; ++fi) {
-      const ScanKeyFilter& kf = (*key_filters)[fi];
-      if (kf.bloom == nullptr) continue;
-      int k = 0;
-      for (int j = 0; j < nsel; ++j) {
-        sel[k] = sel[j];
-        k += kf.bloom->MayContain(filter_cols[fi][sel[j]]);
-      }
-      if (kf.m != nullptr) {
-        kf.m->join_bloom_checks += static_cast<uint64_t>(nsel);
-        kf.m->join_bloom_filtered += static_cast<uint64_t>(nsel - k);
-      }
-      nsel = k;
-    }
-    if (nsel == 0) continue;
-    ColumnBatch b;
-    b.count = nsel;
-    b.cols.resize(cols_needed.size());
-    for (size_t ci = 0; ci < cols_needed.size(); ++ci) {
-      for (int j = 0; j < nsel; ++j) out_cols[ci][j] = out_src[ci][sel[j]];
-      b.cols[ci] = out_cols[ci].data();
-    }
-    for (int j = 0; j < nsel; ++j) out_locs[j] = delta_locs_[sel[j]];
-    b.locators = out_locs.data();
-    if (!fn(b)) return Status::OK();
-  }
-  return Status::OK();
+  return ScanImage(delta_, cols_needed, preds, fn, /*m=*/nullptr,
+                   /*need_locators=*/true, key_filters, /*stopped=*/nullptr);
 }
 
 Status CsiReadView::ForEachRow(
@@ -1134,45 +1033,20 @@ Status CsiReadView::ForEachRow(
 
 Status ColumnStoreIndex::Reorganize() {
   HD_FAILPOINT_RETURN("csi.reorganize");
-  // Gather every live row (compressed + delta), rebuild row groups. All
-  // reads happen before any state is replaced, so a failed read leaves the
-  // index exactly as it was (reorganize deferred).
-  std::unordered_set<int64_t> dead;
-  HD_RETURN_IF_ERROR(SnapshotDeleteBuffer(&dead, nullptr));
+  // Gather every live row (row groups, then delta rows in key order) from
+  // a view, then rebuild row groups. All reads happen before any state is
+  // replaced, so a failed read leaves the index exactly as it was
+  // (reorganize deferred).
+  HD_ASSIGN_OR_RETURN(CsiViewPtr view, Pin(nullptr));
   std::vector<std::vector<int64_t>> cols(ncols_);
   std::vector<int64_t> locs;
-  std::vector<int64_t> buf;
-  for (const CsiGroup& g : *groups_) {
-    const size_t n = g.rows->num_rows();
-    buf.resize(n);
-    std::vector<int64_t> lbuf(n);
-    g.rows->locator_segment().Decode(0, n, lbuf.data());
-    std::vector<char> keep(n, 1);
-    for (size_t i = 0; i < n; ++i) {
-      if (g.IsDeleted(i) || (!dead.empty() && dead.count(lbuf[i]))) keep[i] = 0;
-    }
-    for (int c = 0; c < ncols_; ++c) {
-      g.rows->segment(c).Decode(0, n, buf.data());
-      for (size_t i = 0; i < n; ++i) {
-        if (keep[i]) cols[c].push_back(buf[i]);
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (keep[i]) locs.push_back(lbuf[i]);
-    }
-  }
-  HD_RETURN_IF_ERROR(
-      delta_->Scan(Bound::Unbounded(), Bound::Unbounded(),
-                   [&](const int64_t*, const int64_t* payload) {
-                     // Delta rows are always live (see ScanDelta).
-                     const int64_t loc = payload[ncols_];
-                     for (int c = 0; c < ncols_; ++c) {
-                       cols[c].push_back(payload[c]);
-                     }
-                     locs.push_back(loc);
-                     return true;
-                   },
-                   nullptr));
+  HD_RETURN_IF_ERROR(view->ForEachRow(
+      [&](int64_t loc, const int64_t* row) {
+        for (int c = 0; c < ncols_; ++c) cols[c].push_back(row[c]);
+        locs.push_back(loc);
+        return true;
+      },
+      nullptr));
   // Views pinned earlier keep the old groups; the index starts a new list.
   groups_ = std::make_shared<const CsiGroupList>();
   delta_->Clear();

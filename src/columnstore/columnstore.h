@@ -45,15 +45,16 @@ constexpr int kBatchSize = 4096;
 ///
 /// Two layouts, distinguished by `sel`:
 ///   - sel == nullptr (compact): row j of the batch lives at index j of
-///     every column array (and of `locators`). This is what ScanGroups /
-///     ScanDelta emit.
+///     every column array (and of `locators`). ScanGroups always emits
+///     this form, and an image scan emits it for a batch in which every
+///     row passes.
 ///   - sel != nullptr (selection-vector): the column arrays are a *dense*
-///     decode of a wider range and row j lives at physical index sel[j]
+///     image of a wider range and row j lives at physical index sel[j]
 ///     (ascending, 0 <= j < count) of every column array and of
-///     `locators`. Shared scans emit this form so consumers never pay a
-///     gather/compaction for rows another query's predicate would have
-///     dropped — the aggregate/projection kernels apply the indirection
-///     themselves. Only handlers on shared-scan routes receive it.
+///     `locators`. Image scans (ScanDecodedGroup over a shared pass's
+///     image, ScanDelta over the pinned delta rows) emit this form, so
+///     consumers never pay a gather for rows a predicate dropped — the
+///     aggregate/projection kernels apply the indirection themselves.
 struct ColumnBatch {
   int count = 0;
   /// One pointer per requested column, each `count` values (or a dense
@@ -125,8 +126,10 @@ using CsiGroupList = std::vector<CsiGroup>;
 /// Dense decoded image of one row group — the payload of a shared-scan
 /// ring slot. One decode is produced by whichever consumer claims the
 /// group; every attached consumer then evaluates its own predicates
-/// against the dense arrays via CsiReadView::ScanDecodedGroup.
+/// against the dense arrays via CsiReadView::ScanDecodedGroup. A read
+/// view holds its pinned delta rows in the same form, with group = -1.
 struct DecodedGroup {
+  /// Row group index, or -1 for a view's delta rows.
   int group = -1;
   size_t rows = 0;
   /// Stored-column positions decoded, parallel to `values`.
@@ -163,7 +166,7 @@ class CsiReadView {
   int num_columns() const { return ncols_; }
   int num_row_groups() const { return static_cast<int>(groups_->size()); }
   const CsiGroup& group(int g) const { return (*groups_)[g]; }
-  uint64_t delta_rows() const { return delta_locs_.size(); }
+  uint64_t delta_rows() const { return delta_.rows; }
   /// Delete-buffer locators (secondary CSI; empty for a primary).
   const std::unordered_set<int64_t>& dead() const { return dead_; }
   /// Inclusive packed range [*lo, *hi] of stored column `col` over every
@@ -193,9 +196,13 @@ class CsiReadView {
                     const std::vector<ScanKeyFilter>* key_filters =
                         nullptr) const;
 
-  /// Scan of the pinned delta rows (queries must union this in). Every
-  /// column in `cols_needed`, `preds` and `key_filters` must have been
-  /// pinned. Locators are always emitted (delta rows carry them inline).
+  /// Scan of the pinned delta rows (queries must union this in): the
+  /// image scan of ScanDecodedGroup over the delta image, plus the Bloom
+  /// step. Every column in `cols_needed`, `preds` and `key_filters` must
+  /// have been pinned. Delta rows are always live, and their locators are
+  /// always emitted. Batches may carry ColumnBatch::sel. `m` is charged
+  /// nothing: the rows were read (and charged) at pin time; Bloom checks
+  /// land on each filter's own metrics block.
   Status ScanDelta(const std::vector<int>& cols_needed,
                    const std::vector<SegPredicate>& preds,
                    const std::function<bool(const ColumnBatch&)>& fn,
@@ -229,16 +236,17 @@ class CsiReadView {
                           bool want_locators, DecodedGroup* out,
                           QueryMetrics* m) const;
 
-  /// Consumer side of a shared scan: evaluate `preds` over row group
-  /// `dg.group` in the encoded domain (same elimination / run-eval / bulk
-  /// heuristics as ScanGroups), but emit batches that point INTO the dense
-  /// decoded image — sparse batches carry a selection vector
-  /// (ColumnBatch::sel) instead of gathering, so the consumer pays no
-  /// per-row materialization. `dg` must contain every column in
-  /// `cols_needed` (and locators when delete filtering or `need_locators`
-  /// requires them). `*stopped` is set when `fn` returned false (the
-  /// caller detaches from the pass). Charges rows_scanned / rows_selected
-  /// / rows_output to `m` but NOT rows_decoded.
+  /// Consumer side of a shared scan: translate `preds` into row group
+  /// `dg.group`'s encoded domain for group elimination (as ScanGroups
+  /// does), evaluate the rest on the dense values, filter deleted rows,
+  /// and emit batches that point INTO the decoded image — sparse batches
+  /// carry a selection vector (ColumnBatch::sel) instead of gathering, so
+  /// the consumer pays no per-row materialization. `dg` must contain
+  /// every column in `cols_needed` and `preds` (and locators when delete
+  /// filtering or `need_locators` requires them). `*stopped` is set when
+  /// `fn` returned false (the caller detaches from the pass). Charges
+  /// rows_scanned / rows_selected / rows_output to `m` but NOT
+  /// rows_decoded.
   Status ScanDecodedGroup(const DecodedGroup& dg,
                           const std::vector<int>& cols_needed,
                           const std::vector<SegPredicate>& preds,
@@ -256,16 +264,26 @@ class CsiReadView {
   friend class ColumnStoreIndex;
   CsiReadView() = default;
 
+  /// The one scan over a dense image, behind ScanDecodedGroup and
+  /// ScanDelta: value-domain predicates (after row-group translation when
+  /// `img` is a row group), then the live-row filter (row groups only),
+  /// then `key_filters`.
+  Status ScanImage(const DecodedGroup& img,
+                   const std::vector<int>& cols_needed,
+                   const std::vector<SegPredicate>& preds,
+                   const std::function<bool(const ColumnBatch&)>& fn,
+                   QueryMetrics* m, bool need_locators,
+                   const std::vector<ScanKeyFilter>* key_filters,
+                   bool* stopped) const;
+
   int ncols_ = 0;
   BufferPool* pool_ = nullptr;
   uint64_t version_ = 0;
   std::shared_ptr<const CsiGroupList> groups_;
   std::unordered_set<int64_t> dead_;
-  /// Pinned delta columns: delta_slot_[c] indexes delta_vals_ for stored
-  /// column c, or -1 when c was not pinned.
-  std::vector<int> delta_slot_;
-  std::vector<std::vector<int64_t>> delta_vals_;
-  std::vector<int64_t> delta_locs_;
+  /// The pinned delta rows (group = -1): the pinned columns plus every
+  /// row's locator.
+  DecodedGroup delta_;
 };
 
 using CsiViewPtr = std::shared_ptr<const CsiReadView>;

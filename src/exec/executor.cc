@@ -339,6 +339,31 @@ struct JoinExec {
 
 }  // namespace
 
+std::vector<int> ColumnsRead(const Query& q, int table, int num_columns) {
+  const bool all = table == 0 && (q.kind != Query::Kind::kSelect ||
+                                  (q.aggs.empty() && q.select_cols.empty()));
+  std::vector<char> need(num_columns, all ? 1 : 0);
+  std::vector<ColRef> refs;
+  for (const auto& a : q.aggs) {
+    if (a.arg) CollectExprCols(*a.arg, &refs);
+  }
+  refs.insert(refs.end(), q.group_by.begin(), q.group_by.end());
+  refs.insert(refs.end(), q.order_by.begin(), q.order_by.end());
+  refs.insert(refs.end(), q.select_cols.begin(), q.select_cols.end());
+  for (size_t j = 0; j < q.joins.size(); ++j) {
+    refs.push_back(ColRef{0, q.joins[j].base_col});
+    refs.push_back(ColRef{static_cast<int>(j) + 1, q.joins[j].dim_col});
+  }
+  for (const auto& r : refs) {
+    if (r.table == table) need[r.col] = 1;
+  }
+  std::vector<int> out;
+  for (int c = 0; c < num_columns; ++c) {
+    if (need[c]) out.push_back(c);
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------
 // Executor implementation.
 // ---------------------------------------------------------------------
@@ -460,11 +485,10 @@ struct Executor::Impl {
   /// DML under the base table's exclusive `latch` (see LockUnderLatch).
   Status RunDml(std::unique_lock<FairSharedMutex>* latch);
 
-  /// Columns of layout table `ti` read downstream of its scan: aggregate
-  /// arguments, GROUP BY, ORDER BY, the select list and join columns. DML
-  /// and SELECT * read every base column. Predicate columns are left out:
-  /// each access path evaluates its own predicates.
-  std::vector<int> ColumnsRead(int ti) const;
+  /// hd::ColumnsRead of layout table `ti`.
+  std::vector<int> ColumnsRead(int ti) const {
+    return hd::ColumnsRead(q, ti, L.tables[ti]->num_columns());
+  }
 
   /// One columnstore scan: what to decode, what the scan filters, and an
   /// optional hook that answers row group `g` without decoding it
@@ -617,31 +641,6 @@ Status Executor::Impl::Setup() {
 
   ops = BuildOperatorSkeleton(q, plan, &opx);
   return Status::OK();
-}
-
-std::vector<int> Executor::Impl::ColumnsRead(int ti) const {
-  const bool all = ti == 0 && (q.kind != Query::Kind::kSelect ||
-                               (q.aggs.empty() && q.select_cols.empty()));
-  std::vector<char> need(L.tables[ti]->num_columns(), all ? 1 : 0);
-  std::vector<ColRef> refs;
-  for (const auto& a : q.aggs) {
-    if (a.arg) CollectExprCols(*a.arg, &refs);
-  }
-  refs.insert(refs.end(), q.group_by.begin(), q.group_by.end());
-  refs.insert(refs.end(), q.order_by.begin(), q.order_by.end());
-  refs.insert(refs.end(), q.select_cols.begin(), q.select_cols.end());
-  for (size_t j = 0; j < q.joins.size(); ++j) {
-    refs.push_back(ColRef{0, q.joins[j].base_col});
-    refs.push_back(ColRef{static_cast<int>(j) + 1, q.joins[j].dim_col});
-  }
-  for (const auto& r : refs) {
-    if (r.table == ti) need[r.col] = 1;
-  }
-  std::vector<int> out;
-  for (size_t c = 0; c < need.size(); ++c) {
-    if (need[c]) out.push_back(static_cast<int>(c));
-  }
-  return out;
 }
 
 Status Executor::Impl::PrepareJoins() {

@@ -178,4 +178,11 @@ struct Query {
   bool is_read_only() const { return kind == Kind::kSelect; }
 };
 
+/// Columns (ascending, of `num_columns`) of query table `table` — 0 for
+/// the base, j + 1 for joins[j]'s dimension — that `q` reads downstream of
+/// the table's scan: aggregate arguments, GROUP BY, ORDER BY, the select
+/// list and join columns. DML and SELECT * read every base column.
+/// Predicate columns are left out: each access path evaluates its own.
+std::vector<int> ColumnsRead(const Query& q, int table, int num_columns);
+
 }  // namespace hd

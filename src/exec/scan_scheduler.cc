@@ -27,11 +27,9 @@ struct ScanScheduler::Consumer {
   uint64_t next = 0;   // next seq to consume
   std::vector<int> cols;        // columns this consumer's batches emit
   /// cols ∪ predicate columns: what this consumer wants in the decoded
-  /// image. Having the predicate column dense lets ScanDecodedGroup
-  /// evaluate in the value domain (a branchless compare over contiguous
-  /// int64s) instead of re-running the encoded-domain kernels per
-  /// consumer — that per-consumer eval is the dominant residual cost of
-  /// a shared pass once decode is amortized.
+  /// image. ScanDecodedGroup evaluates predicates only in the value
+  /// domain (a branchless compare over contiguous int64s), so every
+  /// predicate column must be in the image.
   std::vector<int> image_cols;
   bool need_locators = false;
 };

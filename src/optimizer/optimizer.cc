@@ -263,64 +263,14 @@ std::vector<Optimizer::PathCand> Optimizer::EnumeratePaths(
 
 namespace {
 
-/// Helper: needed base-table columns of a query.
-std::vector<int> NeededBaseCols(const Query& q, const Table& base) {
-  std::vector<char> need(base.num_columns(), 0);
-  std::function<void(const Expr&)> walk = [&](const Expr& e) {
-    if (e.kind == Expr::Kind::kCol && e.col.table == 0) need[e.col.col] = 1;
-    for (const auto& c : e.children) walk(c);
-  };
-  for (const auto& a : q.aggs) {
-    if (a.arg) walk(*a.arg);
-  }
-  auto mark = [&](const std::vector<ColRef>& refs) {
-    for (const auto& r : refs) {
-      if (r.table == 0) need[r.col] = 1;
-    }
-  };
-  mark(q.group_by);
-  mark(q.order_by);
-  mark(q.select_cols);
-  for (const auto& j : q.joins) need[j.base_col] = 1;
-  for (const auto& p : q.base.preds) need[p.col] = 1;
-  if (q.kind != Query::Kind::kSelect) {
-    for (int c = 0; c < base.num_columns(); ++c) need[c] = 1;  // DML: all
-  }
-  if (q.kind == Query::Kind::kSelect && q.aggs.empty() &&
-      q.select_cols.empty()) {
-    for (int c = 0; c < base.num_columns(); ++c) need[c] = 1;  // SELECT *
-  }
-  std::vector<int> out;
-  for (int c = 0; c < base.num_columns(); ++c) {
-    if (need[c]) out.push_back(c);
-  }
-  return out;
-}
-
-std::vector<int> NeededDimCols(const Query& q, int join_idx, const Table& dim) {
-  std::vector<char> need(dim.num_columns(), 0);
-  const int tbl = join_idx + 1;
-  std::function<void(const Expr&)> walk = [&](const Expr& e) {
-    if (e.kind == Expr::Kind::kCol && e.col.table == tbl) need[e.col.col] = 1;
-    for (const auto& c : e.children) walk(c);
-  };
-  for (const auto& a : q.aggs) {
-    if (a.arg) walk(*a.arg);
-  }
-  auto mark = [&](const std::vector<ColRef>& refs) {
-    for (const auto& r : refs) {
-      if (r.table == tbl) need[r.col] = 1;
-    }
-  };
-  mark(q.group_by);
-  mark(q.order_by);
-  mark(q.select_cols);
-  need[q.joins[join_idx].dim_col] = 1;
-  for (const auto& p : q.joins[join_idx].dim.preds) need[p.col] = 1;
-  std::vector<int> out;
-  for (int c = 0; c < dim.num_columns(); ++c) {
-    if (need[c]) out.push_back(c);
-  }
+/// Columns a plan must provide from query table `table`: what the
+/// statement reads (ColumnsRead) plus the table's predicate columns.
+std::vector<int> NeededCols(const Query& q, int table, const Table& t,
+                            const std::vector<Pred>& preds) {
+  std::vector<int> out = ColumnsRead(q, table, t.num_columns());
+  for (const auto& p : preds) out.push_back(p.col);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -346,7 +296,7 @@ Result<Optimizer::PlanResult> Optimizer::Plan(const Query& q,
   const DiskConfig& disk = db_->disk()->config();
   const int max_dop = opts.max_dop > 0 ? opts.max_dop : p_.max_dop;
 
-  const std::vector<int> needed = NeededBaseCols(q, *base);
+  const std::vector<int> needed = NeededCols(q, 0, *base, q.base.preds);
   std::vector<PathCand> base_cands =
       EnumeratePaths(*base, *tc, q.base.preds, needed, opts);
   if (base_cands.empty()) return Status::Internal("no access path");
@@ -378,7 +328,8 @@ Result<Optimizer::PlanResult> Optimizer::Plan(const Query& q,
                                       : di.table->num_rows());
     di.out_rows =
         std::max(1.0, di.rows * PredSelectivity(*di.table, jc.dim.preds));
-    std::vector<int> dim_needed = NeededDimCols(q, static_cast<int>(j), *di.table);
+    std::vector<int> dim_needed =
+        NeededCols(q, static_cast<int>(j) + 1, *di.table, jc.dim.preds);
     di.cands = EnumeratePaths(*di.table, *di.tc, jc.dim.preds, dim_needed, opts);
     di.best_cost = 1e300;
     for (size_t ci = 0; ci < di.cands.size(); ++ci) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/byte_codec.h"
 #include "common/failpoint.h"
 #include "common/telemetry.h"
 
@@ -37,29 +38,6 @@ WalStats& Stats() {
   return s;
 }
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  const size_t n = out->size();
-  out->resize(n + 4);
-  std::memcpy(out->data() + n, &v, 4);
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  const size_t n = out->size();
-  out->resize(n + 8);
-  std::memcpy(out->data() + n, &v, 8);
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
 void PutRow(std::vector<uint8_t>* out, const WalRow& row) {
   PutU32(out, static_cast<uint32_t>(row.size()));
   for (const WalValue& v : row) {
@@ -72,68 +50,24 @@ void PutRow(std::vector<uint8_t>* out, const WalRow& row) {
   }
 }
 
-/// Bounds-checked little cursor for decode.
-struct Cursor {
-  const uint8_t* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* dst, size_t n) {
-    if (left < n) {
-      ok = false;
-      return false;
+bool GetRow(ByteCursor* c, WalRow* out) {
+  const uint32_t n = c->U32();
+  if (!c->ok || n > (16u << 20)) return c->ok = false, false;
+  out->clear();
+  out->reserve(n);
+  for (uint32_t i = 0; i < n && c->ok; ++i) {
+    WalValue v;
+    v.tag = static_cast<WalValue::Tag>(c->U8());
+    switch (v.tag) {
+      case WalValue::Tag::kPacked: v.packed = c->I64(); break;
+      case WalValue::Tag::kString: v.str = c->Str(); break;
+      case WalValue::Tag::kNull: break;
+      default: return c->ok = false, false;
     }
-    std::memcpy(dst, p, n);
-    p += n;
-    left -= n;
-    return true;
+    out->push_back(std::move(v));
   }
-  uint8_t U8() {
-    uint8_t v = 0;
-    Take(&v, 1);
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Take(&v, 4);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Take(&v, 8);
-    return v;
-  }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  std::string Str() {
-    const uint32_t n = U32();
-    if (!ok || left < n) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return s;
-  }
-  bool Row(WalRow* out) {
-    const uint32_t n = U32();
-    if (!ok || n > (16u << 20)) return ok = false, false;
-    out->clear();
-    out->reserve(n);
-    for (uint32_t i = 0; i < n && ok; ++i) {
-      WalValue v;
-      v.tag = static_cast<WalValue::Tag>(U8());
-      switch (v.tag) {
-        case WalValue::Tag::kPacked: v.packed = I64(); break;
-        case WalValue::Tag::kString: v.str = Str(); break;
-        case WalValue::Tag::kNull: break;
-        default: return ok = false, false;
-      }
-      out->push_back(std::move(v));
-    }
-    return ok;
-  }
-};
+  return c->ok;
+}
 
 const uint32_t* Crc32Table() {
   static uint32_t table[256];
@@ -218,7 +152,7 @@ void WalRecord::EncodeBody(std::vector<uint8_t>* out) const {
 }
 
 Status WalRecord::DecodeBody(const uint8_t* data, size_t n, WalRecord* out) {
-  Cursor c{data, n};
+  ByteCursor c{data, n};
   out->lsn = c.U64();
   out->type = static_cast<WalRecordType>(c.U8());
   out->txn = c.U64();
@@ -229,16 +163,16 @@ Status WalRecord::DecodeBody(const uint8_t* data, size_t n, WalRecord* out) {
       break;
     case WalRecordType::kInsert:
       out->rid = c.I64();
-      c.Row(&out->new_row);
+      GetRow(&c, &out->new_row);
       break;
     case WalRecordType::kUpdate:
       out->rid = c.I64();
-      c.Row(&out->old_row);
-      c.Row(&out->new_row);
+      GetRow(&c, &out->old_row);
+      GetRow(&c, &out->new_row);
       break;
     case WalRecordType::kDelete:
       out->rid = c.I64();
-      c.Row(&out->old_row);
+      GetRow(&c, &out->old_row);
       break;
     case WalRecordType::kCsiReorg:
       out->aux = c.Str();

@@ -2,6 +2,7 @@
 // delta-store / delete-buffer / delete-bitmap machinery of Section 2.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <unordered_set>
 
@@ -544,6 +545,104 @@ TEST_F(CsiTest, RowUpdatedAcrossDeltaClosesKeepsOneLiveCopy) {
       EXPECT_EQ(c.sum1, ref_sum);
     }
   }
+}
+
+// A view with every kind of row state: compressed rows, bitmap deletes, a
+// delete-buffer entry, delta rows, and a delta row whose compressed copy is
+// in the delete buffer (an update). Each scan must match a naive filter
+// over the rows as they were inserted and deleted.
+TEST_F(CsiTest, ViewScansMatchNaiveFilterOverEveryRowState) {
+  auto csi = MakeCsi(ColumnStoreIndex::Kind::kSecondary, 10000);
+  using Row = std::pair<int64_t, int64_t>;
+  std::map<int64_t, Row> live;  // locator -> (col0, col1)
+  for (int64_t i = 0; i < 10000; ++i) live[i] = {i, i % 97};
+  std::vector<int64_t> bitmap_dels, buffer_dels;
+  for (int64_t i = 0; i < 10000; ++i) {
+    if (i % 11 == 0) {
+      bitmap_dels.push_back(i);
+    } else if (i % 13 == 5) {
+      buffer_dels.push_back(i);
+    }
+  }
+  ASSERT_TRUE(csi->DeleteBatch(bitmap_dels, nullptr).ok());
+  ASSERT_TRUE(csi->CompactDeleteBuffer(nullptr).ok());
+  ASSERT_TRUE(csi->DeleteBatch(buffer_dels, nullptr).ok());
+  for (int64_t l : bitmap_dels) live.erase(l);
+  for (int64_t l : buffer_dels) live.erase(l);
+  for (int64_t k = 0; k < 300; ++k) {
+    const std::vector<int64_t> row = {50000 + k, k % 97};
+    ASSERT_TRUE(csi->Insert(row, 20000 + k, nullptr).ok());
+    live[20000 + k] = {row[0], row[1]};
+  }
+  // Locator 5 is in the delete buffer; its re-inserted image is live.
+  const std::vector<int64_t> updated = {77778, 40};
+  ASSERT_TRUE(csi->Insert(updated, 5, nullptr).ok());
+  live[5] = {updated[0], updated[1]};
+  ASSERT_EQ(csi->delta_rows(), 301u);
+  ASSERT_GT(csi->delete_buffer_rows(), 0u);
+
+  const CsiViewPtr view = csi->Pin().value();
+  ASSERT_GT(view->group(0).deleted_count(), 0u);
+  BlockedBloomFilter bloom;
+  bloom.Init(live.size());
+  for (const auto& [loc, r] : live) {
+    if (r.first % 3 == 0) bloom.Insert(r.first);
+  }
+  QueryMetrics join_m;
+  const std::vector<ScanKeyFilter> kfs = {{0, &bloom, &join_m}};
+  const std::vector<SegPredicate> preds = {{1, 10, 60}};
+
+  std::map<int64_t, Row> want, want_delta;
+  uint64_t checks = 0;
+  for (const auto& [loc, r] : live) {
+    if (r.second < 10 || r.second > 60) continue;
+    ++checks;
+    if (!bloom.MayContain(r.first)) continue;
+    want[loc] = r;
+    if (loc >= 20000 || loc == 5) want_delta[loc] = r;
+  }
+  ASSERT_GT(want_delta.size(), 0u);
+  ASSERT_LT(want.size(), checks);  // the filter drops rows
+
+  auto collect = [](std::map<int64_t, Row>* out) {
+    return [out](const ColumnBatch& b) {
+      for (int j = 0; j < b.count; ++j) {
+        const uint32_t i = b.sel != nullptr ? b.sel[j] : j;
+        EXPECT_TRUE(out->emplace(b.locators[i], Row{b.cols[0][i], b.cols[1][i]})
+                        .second)
+            << "locator " << b.locators[i] << " emitted twice";
+      }
+      return true;
+    };
+  };
+  std::map<int64_t, Row> got_groups, got_delta;
+  QueryMetrics scan_m, delta_m;
+  ASSERT_TRUE(view->ScanGroups(0, view->num_row_groups(), {0, 1}, preds,
+                               collect(&got_groups), &scan_m, true, &kfs)
+                  .ok());
+  ASSERT_TRUE(
+      view->ScanDelta({0, 1}, preds, collect(&got_delta), &delta_m, &kfs).ok());
+  EXPECT_EQ(got_delta, want_delta);
+  std::map<int64_t, Row> got = got_groups;
+  got.insert(got_delta.begin(), got_delta.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.size(), got_groups.size() + got_delta.size());
+  // Bloom checks and drops belong to the join; the delta scan charges the
+  // statement nothing (its rows were charged when the view was pinned).
+  EXPECT_EQ(join_m.join_bloom_checks.load(), checks);
+  EXPECT_EQ(join_m.join_bloom_filtered.load(), checks - want.size());
+  EXPECT_EQ(scan_m.join_bloom_checks.load(), 0u);
+  EXPECT_EQ(scan_m.rows_output.load(), got_groups.size());
+  EXPECT_EQ(delta_m.rows_scanned.load(), 0u);
+  EXPECT_EQ(delta_m.rows_output.load(), 0u);
+
+  std::map<int64_t, Row> all;
+  auto add = [&](int64_t loc, const int64_t* row) {
+    EXPECT_TRUE(all.emplace(loc, Row{row[0], row[1]}).second);
+    return true;
+  };
+  ASSERT_TRUE(view->ForEachRow(add, nullptr).ok());
+  EXPECT_EQ(all, live);
 }
 
 TEST_F(CsiTest, ScanEarlyStop) {

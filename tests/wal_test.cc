@@ -47,6 +47,93 @@ class WalTest : public ::testing::Test {
   void TearDown() override { FailPoints::Instance().DisarmAll(); }
 };
 
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::vector<uint8_t> out;
+  if (f == nullptr) return out;
+  uint8_t buf[4096];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    out.insert(out.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+// The on-disk formats are fixed little-endian layouts: these bytes are the
+// format, so a change that round-trips but moves a byte must fail here.
+TEST_F(WalTest, RecordBodyGoldenBytes) {
+  WalRecord rec;
+  rec.lsn = 0x0102030405060708ull;
+  rec.type = WalRecordType::kInsert;
+  rec.txn = 0x1122;
+  rec.table_id = 0x33;
+  rec.rid = -2;
+  rec.new_row = {WalValue::Packed(0x0a0b), WalValue::Str("hi"),
+                 WalValue::Null()};
+  const std::vector<uint8_t> golden = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // lsn
+      0x03,                                            // type: insert
+      0x22, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // txn
+      0x33, 0x00, 0x00, 0x00,                          // table_id
+      0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // rid
+      0x03, 0x00, 0x00, 0x00,                          // row: 3 values
+      0x00, 0x0b, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // packed
+      0x01, 0x02, 0x00, 0x00, 0x00, 'h', 'i',                // string
+      0x02,                                                  // null
+  };
+  std::vector<uint8_t> body;
+  rec.EncodeBody(&body);
+  EXPECT_EQ(body, golden);
+
+  WalRecord got;
+  ASSERT_TRUE(WalRecord::DecodeBody(golden.data(), golden.size(), &got).ok());
+  EXPECT_EQ(got.lsn, rec.lsn);
+  EXPECT_EQ(got.type, WalRecordType::kInsert);
+  EXPECT_EQ(got.txn, rec.txn);
+  EXPECT_EQ(got.table_id, rec.table_id);
+  EXPECT_EQ(got.rid, -2);
+  ASSERT_EQ(got.new_row.size(), 3u);
+  EXPECT_EQ(got.new_row[0].packed, 0x0a0b);
+  EXPECT_EQ(got.new_row[1].str, "hi");
+  EXPECT_EQ(got.new_row[2].tag, WalValue::Tag::kNull);
+  // One byte short is a corrupt body, not a shorter record.
+  EXPECT_FALSE(
+      WalRecord::DecodeBody(golden.data(), golden.size() - 1, &got).ok());
+}
+
+TEST_F(WalTest, CheckpointHeaderGoldenBytes) {
+  const std::string dir = FreshDir("golden_ckpt");
+  {
+    Database db;
+    ASSERT_TRUE(db.OpenDurability(dir, DurabilityMode::kCommit).ok());
+    ASSERT_TRUE(
+        db.CreateTable("g", Schema({{"k", ValueType::kInt64, 0}})).ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  const std::vector<uint8_t> current = ReadBytes(dir + "/CURRENT");
+  ASSERT_FALSE(current.empty());
+  const std::string name(current.begin(), current.end() - 1);
+  const std::vector<uint8_t> file = ReadBytes(dir + "/" + name);
+  const std::vector<uint8_t> golden = {
+      'H',  'D',  'C',  'K',  'P',  'T',  '0',  '1',   // magic
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // next_lsn
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // next_txn
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // redo_start
+      0x02, 0x00, 0x00, 0x00,                          // next_table_id
+      0x01, 0x00, 0x00, 0x00,                          // 1 table
+      0x01, 0x00, 0x00, 0x00,                          // table_id
+      0x01, 0x00, 0x00, 0x00, 'g',                     // name
+      0x01, 0x00, 0x00, 0x00,                          // 1 column
+      0x01, 0x00, 0x00, 0x00, 'k',                     // column name
+      0x01,                                            // type: int64
+      0x00, 0x00, 0x00, 0x00,                          // avg_width
+  };
+  ASSERT_GE(file.size(), golden.size());
+  EXPECT_EQ(std::vector<uint8_t>(file.begin(), file.begin() + golden.size()),
+            golden);
+  fs::remove_all(dir);
+}
+
 TEST_F(WalTest, AppendReadRoundtrip) {
   const std::string dir = FreshDir("roundtrip");
   {
