@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "common/rng.h"
 
@@ -88,6 +89,121 @@ Row Table::UnpackRow(const PackedRow& p) const {
   return r;
 }
 
+// ---------------- index-list entries ----------------
+
+namespace {
+
+using Columns = std::vector<std::vector<int64_t>>;
+
+/// Row positions sorted by (key columns, rid): a B+ tree's entry order,
+/// and a heap's storage order when `key_cols` is empty.
+std::vector<uint32_t> SortedOrder(const std::vector<int>& key_cols,
+                                  const Columns& cols,
+                                  const std::vector<int64_t>& rids) {
+  std::vector<uint32_t> order(rids.size());
+  std::iota(order.begin(), order.end(), 0u);
+  auto less = [&](uint32_t a, uint32_t b) {
+    for (int kc : key_cols) {
+      if (cols[kc][a] != cols[kc][b]) return cols[kc][a] < cols[kc][b];
+    }
+    return rids[a] < rids[b];
+  };
+  if (!std::is_sorted(order.begin(), order.end(), less)) {
+    std::sort(order.begin(), order.end(), less);
+  }
+  return order;
+}
+
+/// Reorder the rows into `order`, one column at a time.
+void Permute(const std::vector<uint32_t>& order, Columns* cols,
+             std::vector<int64_t>* rids) {
+  bool identity = true;
+  for (size_t i = 0; i < order.size() && identity; ++i) identity = order[i] == i;
+  if (identity) return;
+  std::vector<int64_t> tmp(order.size());
+  auto apply = [&](std::vector<int64_t>* v) {
+    for (size_t i = 0; i < order.size(); ++i) tmp[i] = (*v)[order[i]];
+    v->swap(tmp);
+  };
+  for (auto& c : *cols) apply(&c);
+  apply(rids);
+}
+
+/// A B+ tree entry's key for `row`: key columns, then the rid uniquifier.
+/// One buffer per thread, so DML allocates nothing per row.
+std::span<const int64_t> EntryKey(const TableIndex& ix, const PackedRow& row,
+                                  int64_t rid) {
+  thread_local std::vector<int64_t> key;
+  key.clear();
+  for (int kc : ix.def.key_cols) key.push_back(row[kc]);
+  key.push_back(rid);
+  return key;
+}
+
+/// A B+ tree entry's payload for `row`; the clustered tree's is the row.
+std::span<const int64_t> EntryPayload(const TableIndex& ix,
+                                      const PackedRow& row) {
+  if (ix.def.is_primary) return row;
+  thread_local std::vector<int64_t> payload;
+  payload.clear();
+  for (int pc : ix.payload_cols) payload.push_back(row[pc]);
+  return payload;
+}
+
+// The appliers: one per operation and structure kind. The primary entry
+// and every secondary go through them, for statements and recovery alike.
+
+Status InsertEntry(TableIndex& ix, int64_t rid, const PackedRow& row,
+                   QueryMetrics* m) {
+  if (ix.csi) return ix.csi->Insert(row, rid, m);
+  return ix.btree->Insert(EntryKey(ix, row, rid), EntryPayload(ix, row), m);
+}
+
+/// Statement-granular, so a columnstore delete scans once.
+Status DeleteEntries(TableIndex& ix, std::span<const RowRef> rows,
+                     QueryMetrics* m) {
+  if (ix.csi) {
+    std::vector<int64_t> rids;
+    rids.reserve(rows.size());
+    for (const auto& r : rows) rids.push_back(r.rid);
+    return ix.csi->DeleteBatch(rids, m);
+  }
+  for (const auto& r : rows) {
+    HD_RETURN_IF_ERROR(ix.btree->Delete(EntryKey(ix, r.row, r.rid), m));
+  }
+  return Status::OK();
+}
+
+/// news[i] replaces rows[i]. A B+ tree entry whose key columns keep their
+/// values has its payload updated in place; any other update is a delete
+/// followed by an insert — on a columnstore always (paper, Section 2).
+Status UpdateEntries(TableIndex& ix, std::span<const RowRef> rows,
+                     std::span<const PackedRow> news, QueryMetrics* m) {
+  if (ix.csi) {
+    HD_RETURN_IF_ERROR(DeleteEntries(ix, rows, m));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      HD_RETURN_IF_ERROR(InsertEntry(ix, rows[i].rid, news[i], m));
+    }
+    return Status::OK();
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const RowRef& r = rows[i];
+    const bool same_key =
+        std::all_of(ix.def.key_cols.begin(), ix.def.key_cols.end(),
+                    [&](int kc) { return r.row[kc] == news[i][kc]; });
+    if (same_key) {
+      HD_RETURN_IF_ERROR(ix.btree->UpdatePayload(
+          EntryKey(ix, r.row, r.rid), EntryPayload(ix, news[i]), m));
+    } else {
+      HD_RETURN_IF_ERROR(DeleteEntries(ix, {&r, 1}, m));
+      HD_RETURN_IF_ERROR(InsertEntry(ix, r.rid, news[i], m));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 // ---------------- loading ----------------
 
 void Table::BulkLoad(const std::vector<Row>& rows) {
@@ -112,135 +228,170 @@ void Table::BulkLoad(const std::vector<Row>& rows) {
 
 void Table::BulkLoadPacked(std::vector<std::vector<int64_t>> cols) {
   assert(static_cast<int>(cols.size()) == schema_.num_columns());
-  const size_t n = cols.empty() ? 0 : cols[0].size();
-  const int ncols = schema_.num_columns();
+  std::vector<int64_t> rids(cols.empty() ? 0 : cols[0].size());
+  std::iota(rids.begin(), rids.end(), 0);
+  const auto n = static_cast<int64_t>(rids.size());
+  LoadRows(std::move(cols), std::move(rids), n);
+}
 
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap: {
-      heap_ = std::make_unique<HeapFile>(ncols, pool_);
-      PackedRow row(ncols);
-      for (size_t i = 0; i < n; ++i) {
-        for (int c = 0; c < ncols; ++c) row[c] = cols[c][i];
-        heap_->Append(row);
+void Table::LoadRows(Columns cols, std::vector<int64_t> rids,
+                     int64_t next_rid) {
+  // Primary storage order: rid order for a heap, clustered-key order for a
+  // B+ tree. A secondary columnstore keeps it, as when built from a scan.
+  const bool heap = primary_kind_ == PrimaryKind::kHeap;
+  if (primary_kind_ != PrimaryKind::kColumnStore) {
+    Permute(SortedOrder(heap ? std::vector<int>{} : primary_keys_, cols, rids),
+            &cols, &rids);
+  }
+  if (heap) {
+    const int ncols = schema_.num_columns();
+    heap_ = std::make_unique<HeapFile>(ncols, pool_);
+    PackedRow row(ncols);
+    for (size_t i = 0; i < rids.size(); ++i) {
+      // Heap rids are physical positions: pad gaps (rows deleted before a
+      // checkpoint) with tombstones.
+      while (static_cast<int64_t>(heap_->num_rows()) < rids[i]) {
+        heap_->AppendTombstone();
       }
-      next_rid_ = static_cast<int64_t>(n);
-      break;
-    }
-    case PrimaryKind::kBTree: {
-      const int kw = primary_btree_key_width();
-      primary_btree_ = std::make_unique<BTree>(kw, ncols, pool_);
-      // Sort by key then bulk load; rids follow the original row order.
-      std::vector<uint32_t> perm(n);
-      for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-      std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-        for (int kc : primary_keys_) {
-          if (cols[kc][a] != cols[kc][b]) return cols[kc][a] < cols[kc][b];
-        }
-        return a < b;
-      });
-      std::vector<int64_t> flat;
-      flat.reserve(n * (kw + ncols));
-      for (uint32_t src : perm) {
-        for (int kc : primary_keys_) flat.push_back(cols[kc][src]);
-        flat.push_back(static_cast<int64_t>(src));  // rid = original order
-        for (int c = 0; c < ncols; ++c) flat.push_back(cols[c][src]);
-      }
-      primary_btree_->BulkLoad(flat);
-      next_rid_ = static_cast<int64_t>(n);
-      break;
-    }
-    case PrimaryKind::kColumnStore: {
-      primary_csi_ = std::make_unique<ColumnStoreIndex>(
-          ColumnStoreIndex::Kind::kPrimary, ncols, pool_);
-      std::vector<int64_t> locs(n);
-      for (size_t i = 0; i < n; ++i) locs[i] = static_cast<int64_t>(i);
-      primary_csi_->BulkLoad(std::move(cols), std::move(locs));
-      next_rid_ = static_cast<int64_t>(n);
-      break;
+      for (int c = 0; c < ncols; ++c) row[c] = cols[c][i];
+      heap_->Append(row);
     }
   }
-  for (auto& si : secondaries_) RebuildSecondary(si.get());
+  BuildIndexes(0, std::move(cols), std::move(rids));
+  next_rid_ = next_rid;
   Analyze();
+}
+
+void Table::BuildIndexes(size_t first, Columns cols,
+                         std::vector<int64_t> rids) {
+  const int ncols = schema_.num_columns();
+  std::vector<TableIndex*> columnstores;
+  for (size_t i = first; i < indexes_.size(); ++i) {
+    TableIndex& ix = *indexes_[i];
+    if (ix.def.is_columnstore()) {
+      columnstores.push_back(&ix);
+      continue;
+    }
+    ix.payload_cols = ix.def.included_cols;
+    if (ix.def.is_primary) {
+      ix.payload_cols.resize(ncols);
+      std::iota(ix.payload_cols.begin(), ix.payload_cols.end(), 0);
+    } else if (primary_kind_ == PrimaryKind::kBTree) {
+      for (int pk : primary_keys_) {
+        auto has = [pk](const std::vector<int>& v) {
+          return std::find(v.begin(), v.end(), pk) != v.end();
+        };
+        if (!has(ix.payload_cols) && !has(ix.def.key_cols)) {
+          ix.payload_cols.push_back(pk);
+        }
+      }
+    }
+    const int kw = static_cast<int>(ix.def.key_cols.size()) + 1;
+    const int pw = static_cast<int>(ix.payload_cols.size());
+    ix.btree = std::make_unique<BTree>(kw, pw, pool_);
+    std::vector<int64_t> flat;
+    flat.reserve(rids.size() * (kw + pw));
+    for (uint32_t r : SortedOrder(ix.def.key_cols, cols, rids)) {
+      for (int kc : ix.def.key_cols) flat.push_back(cols[kc][r]);
+      flat.push_back(rids[r]);
+      for (int pc : ix.payload_cols) flat.push_back(cols[pc][r]);
+    }
+    ix.btree->BulkLoad(flat);
+  }
+  for (size_t i = 0; i < columnstores.size(); ++i) {
+    TableIndex& ix = *columnstores[i];
+    CsiOptions copts;
+    if (!ix.def.key_cols.empty()) copts.sort_col = ix.def.key_cols[0];
+    ix.csi = std::make_unique<ColumnStoreIndex>(
+        ix.def.is_primary ? ColumnStoreIndex::Kind::kPrimary
+                          : ColumnStoreIndex::Kind::kSecondary,
+        ncols, pool_, copts);
+    // The last columnstore takes the columns. SetPrimary can put a primary
+    // columnstore beside a secondary one; the first gets a copy.
+    const bool last = i + 1 == columnstores.size();
+    ix.csi->BulkLoad(last ? std::move(cols) : cols,
+                     last ? std::move(rids) : rids);
+  }
 }
 
 // ---------------- physical design ----------------
 
-Status Table::SetPrimary(PrimaryKind kind, std::vector<int> key_cols) {
+Status Table::SetPrimaryEntry(PrimaryKind kind, std::vector<int> key_cols) {
   if (kind == PrimaryKind::kBTree && key_cols.empty()) {
     return Status::InvalidArgument("clustered B+ tree needs key columns");
   }
-  std::vector<PackedRow> rows;
-  std::vector<int64_t> rids;
-  CollectAll(&rows, &rids);
-
+  if (primary_kind_ != PrimaryKind::kHeap) indexes_.erase(indexes_.begin());
+  heap_.reset();
   primary_kind_ = kind;
   primary_keys_ = std::move(key_cols);
-  heap_.reset();
-  primary_btree_.reset();
-  primary_csi_.reset();
-
-  const int ncols = schema_.num_columns();
-  std::vector<std::vector<int64_t>> cols(ncols);
-  for (auto& c : cols) c.reserve(rows.size());
-  for (const auto& r : rows) {
-    for (int c = 0; c < ncols; ++c) cols[c].push_back(r[c]);
+  if (kind == PrimaryKind::kHeap) return Status::OK();
+  auto ix = std::make_unique<TableIndex>();
+  ix->def.is_primary = true;
+  if (kind == PrimaryKind::kBTree) {
+    ix->def.key_cols = primary_keys_;
+  } else {
+    ix->def.type = IndexDef::Type::kColumnStore;
   }
-  if (kind == PrimaryKind::kHeap) {
-    heap_ = std::make_unique<HeapFile>(ncols, pool_);
-  }
-  BulkLoadPacked(std::move(cols));
+  indexes_.insert(indexes_.begin(), std::move(ix));
   return Status::OK();
 }
 
-std::vector<int> Table::ComputePayloadCols(const IndexDef& def) const {
-  std::vector<int> payload = def.included_cols;
-  if (primary_kind_ == PrimaryKind::kBTree) {
-    for (int pk : primary_keys_) {
-      if (std::find(payload.begin(), payload.end(), pk) == payload.end() &&
-          std::find(def.key_cols.begin(), def.key_cols.end(), pk) ==
-              def.key_cols.end()) {
-        payload.push_back(pk);
-      }
+Status Table::SetPrimary(PrimaryKind kind, std::vector<int> key_cols) {
+  Columns cols;
+  std::vector<int64_t> rids;
+  Collect(&cols, &rids);
+  HD_RETURN_IF_ERROR(SetPrimaryEntry(kind, std::move(key_cols)));
+  // RowIds are reassigned in the order the old primary stored the rows.
+  std::iota(rids.begin(), rids.end(), 0);
+  const auto n = static_cast<int64_t>(rids.size());
+  LoadRows(std::move(cols), std::move(rids), n);
+  return Status::OK();
+}
+
+Status Table::AddIndex(IndexDef def) {
+  if (FindSecondary(def.name) != nullptr) {
+    return Status::InvalidArgument("index exists: " + def.name);
+  }
+  if (def.is_columnstore()) {
+    if (any_csi() != nullptr) {
+      return Status::NotSupported("only one columnstore per table");
+    }
+    if (!def.key_cols.empty() && def.key_cols[0] >= schema_.num_columns()) {
+      return Status::InvalidArgument("sort column out of range");
     }
   }
-  return payload;
+  auto ix = std::make_unique<TableIndex>();
+  ix->def = std::move(def);
+  indexes_.push_back(std::move(ix));
+  return Status::OK();
+}
+
+Status Table::CreateIndex(IndexDef def) {
+  HD_RETURN_IF_ERROR(AddIndex(std::move(def)));
+  Columns cols;
+  std::vector<int64_t> rids;
+  Collect(&cols, &rids);
+  BuildIndexes(indexes_.size() - 1, std::move(cols), std::move(rids));
+  return Status::OK();
 }
 
 Status Table::CreateSecondaryBTree(const std::string& name,
                                    std::vector<int> key_cols,
                                    std::vector<int> included_cols) {
-  if (FindSecondary(name) != nullptr) {
-    return Status::InvalidArgument("index exists: " + name);
-  }
-  auto si = std::make_unique<SecondaryIndex>();
-  si->def.name = name;
-  si->def.type = IndexDef::Type::kBTree;
-  si->def.key_cols = std::move(key_cols);
-  si->def.included_cols = std::move(included_cols);
-  si->payload_cols = ComputePayloadCols(si->def);
-  RebuildSecondary(si.get());
-  secondaries_.push_back(std::move(si));
-  return Status::OK();
+  IndexDef def;
+  def.name = name;
+  def.key_cols = std::move(key_cols);
+  def.included_cols = std::move(included_cols);
+  return CreateIndex(std::move(def));
 }
 
 Status Table::CreateSecondaryColumnStore(const std::string& name,
                                          int sort_col) {
-  if (FindSecondary(name) != nullptr) {
-    return Status::InvalidArgument("index exists: " + name);
-  }
-  if (any_csi() != nullptr) {
-    return Status::NotSupported("only one columnstore per table");
-  }
-  if (sort_col >= schema_.num_columns()) {
-    return Status::InvalidArgument("sort column out of range");
-  }
-  auto si = std::make_unique<SecondaryIndex>();
-  si->def.name = name;
-  si->def.type = IndexDef::Type::kColumnStore;
-  if (sort_col >= 0) si->def.key_cols = {sort_col};
-  RebuildSecondary(si.get());
-  secondaries_.push_back(std::move(si));
-  return Status::OK();
+  IndexDef def;
+  def.name = name;
+  def.type = IndexDef::Type::kColumnStore;
+  if (sort_col >= 0) def.key_cols = {sort_col};
+  return CreateIndex(std::move(def));
 }
 
 Status Table::ApplyIndexDef(const IndexDef& def) {
@@ -256,115 +407,43 @@ Status Table::ApplyIndexDef(const IndexDef& def) {
 }
 
 Status Table::DropIndex(const std::string& name) {
-  for (auto it = secondaries_.begin(); it != secondaries_.end(); ++it) {
-    if ((*it)->def.name == name) {
-      secondaries_.erase(it);
+  for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
+    if (!(*it)->def.is_primary && (*it)->def.name == name) {
+      indexes_.erase(it);
       return Status::OK();
     }
   }
   return Status::NotFound("no such index: " + name);
 }
 
-void Table::DropAllSecondaries() { secondaries_.clear(); }
+void Table::DropAllSecondaries() {
+  indexes_.resize(primary_kind_ == PrimaryKind::kHeap ? 0 : 1);
+}
 
-SecondaryIndex* Table::FindSecondary(const std::string& name) const {
-  for (const auto& si : secondaries_) {
-    if (si->def.name == name) return si.get();
+TableIndex* Table::FindSecondary(const std::string& name) const {
+  for (const auto& ix : secondaries()) {
+    if (ix->def.name == name) return ix.get();
   }
   return nullptr;
 }
 
+TableIndex* Table::FindIndex(const std::string& name) const {
+  if (!name.empty()) return FindSecondary(name);
+  return primary_kind_ == PrimaryKind::kHeap ? nullptr : indexes_[0].get();
+}
+
 ColumnStoreIndex* Table::any_csi() const {
-  if (primary_csi_) return primary_csi_.get();
-  for (const auto& si : secondaries_) {
-    if (si->csi) return si->csi.get();
+  for (const auto& ix : indexes_) {
+    if (ix->csi) return ix->csi.get();
   }
   return nullptr;
 }
 
 bool Table::has_secondary_csi() const {
-  for (const auto& si : secondaries_) {
-    if (si->csi) return true;
+  for (const auto& ix : secondaries()) {
+    if (ix->csi) return true;
   }
   return false;
-}
-
-void Table::RebuildSecondary(SecondaryIndex* si) {
-  si->payload_cols = si->def.is_btree() ? ComputePayloadCols(si->def)
-                                        : std::vector<int>{};
-  if (si->def.is_btree()) {
-    const int kw = static_cast<int>(si->def.key_cols.size()) + 1;
-    const int pw = static_cast<int>(si->payload_cols.size());
-    si->btree = std::make_unique<BTree>(kw, pw, pool_);
-    // Collect (key, rid, payload) tuples, sort, bulk load.
-    struct Ent {
-      std::vector<int64_t> kp;
-    };
-    std::vector<std::vector<int64_t>> ents;
-    ScanAll(
-        [&](int64_t rid, const int64_t* row) {
-          std::vector<int64_t> e;
-          e.reserve(kw + pw);
-          for (int kc : si->def.key_cols) e.push_back(row[kc]);
-          e.push_back(rid);
-          for (int pc : si->payload_cols) e.push_back(row[pc]);
-          ents.push_back(std::move(e));
-          return true;
-        },
-        nullptr);
-    std::sort(ents.begin(), ents.end(),
-              [kw](const std::vector<int64_t>& a, const std::vector<int64_t>& b) {
-                return ComparePacked(a.data(), b.data(), kw) < 0;
-              });
-    std::vector<int64_t> flat;
-    flat.reserve(ents.size() * (kw + pw));
-    for (auto& e : ents) flat.insert(flat.end(), e.begin(), e.end());
-    si->btree->BulkLoad(flat);
-  } else {
-    const int ncols = schema_.num_columns();
-    CsiOptions copts;
-    if (!si->def.key_cols.empty()) copts.sort_col = si->def.key_cols[0];
-    si->csi = std::make_unique<ColumnStoreIndex>(
-        ColumnStoreIndex::Kind::kSecondary, ncols, pool_, copts);
-    std::vector<std::vector<int64_t>> cols(ncols);
-    std::vector<int64_t> locs;
-    ScanAll(
-        [&](int64_t rid, const int64_t* row) {
-          for (int c = 0; c < ncols; ++c) cols[c].push_back(row[c]);
-          locs.push_back(rid);
-          return true;
-        },
-        nullptr);
-    si->csi->BulkLoad(std::move(cols), std::move(locs));
-  }
-}
-
-// ---------------- DML ----------------
-
-std::vector<int64_t> Table::MakeBTreeKey(const std::vector<int>& key_cols,
-                                         const PackedRow& row,
-                                         int64_t rid) const {
-  std::vector<int64_t> k;
-  k.reserve(key_cols.size() + 1);
-  for (int kc : key_cols) k.push_back(row[kc]);
-  k.push_back(rid);
-  return k;
-}
-
-Status Table::InsertIntoSecondaries(const PackedRow& row, int64_t rid,
-                                    QueryMetrics* m) {
-  for (auto& si : secondaries_) {
-    if (si->btree) {
-      std::vector<int64_t> key = MakeBTreeKey(si->def.key_cols, row, rid);
-      std::vector<int64_t> payload;
-      payload.reserve(si->payload_cols.size());
-      for (int pc : si->payload_cols) payload.push_back(row[pc]);
-      HD_RETURN_IF_ERROR(si->btree->Insert(key, payload, m));
-    } else {
-      HD_RETURN_IF_ERROR(si->csi->Insert(row, rid, m));
-    }
-  }
-  return Status::OK();
 }
 
 // ---------------- WAL integration ----------------
@@ -402,37 +481,18 @@ PackedRow Table::FromWalRow(const WalRow& row) {
   return out;
 }
 
-Status Table::LogDml(WalRecordType type, uint64_t txn, int64_t rid,
-                     const PackedRow* old_row, const PackedRow* new_row,
-                     uint64_t* lsn_out) {
-  WalRecord rec;
-  rec.type = type;
-  rec.txn = txn;
-  rec.table_id = table_id_;
-  rec.rid = rid;
-  if (old_row != nullptr) rec.old_row = ToWalRow(*old_row);
-  if (new_row != nullptr) rec.new_row = ToWalRow(*new_row);
-  return wal_->Append(&rec, lsn_out);
-}
-
-void Table::StampLsn(int64_t rid, uint64_t lsn) {
+void Table::StampLsn(std::span<const RowRef> rows, uint64_t lsn) {
   if (lsn == 0) return;
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap:
-      heap_->StampPageLsn(static_cast<uint64_t>(rid), lsn);
-      break;
-    case PrimaryKind::kBTree:
-      primary_btree_->set_recovery_lsn(lsn);
-      break;
-    case PrimaryKind::kColumnStore:
-      primary_csi_->set_recovery_lsn(lsn);
-      break;
+  if (heap_) {
+    for (const auto& r : rows) {
+      heap_->StampPageLsn(static_cast<uint64_t>(r.rid), lsn);
+    }
   }
-  for (auto& si : secondaries_) {
-    if (si->btree) {
-      si->btree->set_recovery_lsn(lsn);
+  for (auto& ix : indexes_) {
+    if (ix->btree) {
+      ix->btree->set_recovery_lsn(lsn);
     } else {
-      si->csi->set_recovery_lsn(lsn);
+      ix->csi->set_recovery_lsn(lsn);
     }
   }
   if (lsn > applied_lsn_) applied_lsn_ = lsn;
@@ -440,166 +500,131 @@ void Table::StampLsn(int64_t rid, uint64_t lsn) {
 
 Status Table::ReorganizeColumnstores() {
   std::unique_lock<FairSharedMutex> latch(phys_latch_);
-  auto run = [&](ColumnStoreIndex* csi, const std::string& name) -> Status {
-    if (csi == nullptr) return Status::OK();
+  for (const auto& ix : indexes_) {
+    if (!ix->csi) continue;
     // Log the logical "reorg applied" mark BEFORE the tuple mover runs:
     // replay then reproduces the post-reorg layout; a crash before the
     // record is durable replays to the pre-reorg image. Either way the
     // logical contents are identical — never a torn mix. txn 0 =
-    // self-committed (redo applies it unconditionally).
+    // self-committed (redo applies it unconditionally). An empty name
+    // means the primary columnstore.
     uint64_t lsn = 0;
     if (wal_ != nullptr) {
       WalRecord rec;
       rec.type = WalRecordType::kCsiReorg;
       rec.txn = 0;
       rec.table_id = table_id_;
-      rec.aux = name;
+      rec.aux = ix->def.name;
       HD_RETURN_IF_ERROR(wal_->Append(&rec, &lsn));
     }
-    HD_RETURN_IF_ERROR(csi->Reorganize());
+    HD_RETURN_IF_ERROR(ix->csi->Reorganize());
     if (lsn != 0) {
-      csi->set_recovery_lsn(lsn);
+      ix->csi->set_recovery_lsn(lsn);
       if (lsn > applied_lsn_) applied_lsn_ = lsn;
     }
-    return Status::OK();
-  };
-  HD_RETURN_IF_ERROR(run(primary_csi_.get(), ""));
-  for (auto& si : secondaries_) {
-    if (si->csi) HD_RETURN_IF_ERROR(run(si->csi.get(), si->def.name));
+  }
+  return Status::OK();
+}
+
+// ---------------- DML ----------------
+
+template <typename Apply>
+Status Table::RunStatement(WalRecordType type, uint64_t txn,
+                           std::span<const RowRef> rows,
+                           std::span<const PackedRow> news, Apply apply) {
+  const bool self_commit = wal_ != nullptr && txn == 0;
+  if (self_commit) txn = wal_->AllocTxnId();
+  // WAL rule: log the whole statement before touching any structure, so a
+  // failed append fails the statement with nothing applied.
+  Status s;
+  uint64_t lsn = 0;
+  for (size_t i = 0; wal_ != nullptr && s.ok() && i < rows.size(); ++i) {
+    WalRecord rec;
+    rec.type = type;
+    rec.txn = txn;
+    rec.table_id = table_id_;
+    rec.rid = rows[i].rid;
+    if (type != WalRecordType::kInsert) rec.old_row = ToWalRow(rows[i].row);
+    if (type != WalRecordType::kDelete) rec.new_row = ToWalRow(news[i]);
+    s = wal_->Append(&rec, &lsn);
+  }
+  if (s.ok()) {
+    s = apply(txn);
+    // Stamp even after a partial failure: some structures did change, and
+    // over-marking dirtiness is always safe.
+    StampLsn(rows, lsn);
+  }
+  if (self_commit) {
+    if (s.ok()) return wal_->Commit(txn);
+    (void)wal_->Abort(txn);
+  }
+  return s;
+}
+
+Status Table::ApplyInsert(int64_t rid, const PackedRow& row, QueryMetrics* m,
+                          bool* held) {
+  if (heap_) {
+    while (static_cast<int64_t>(heap_->num_rows()) < rid) {
+      heap_->AppendTombstone();
+    }
+    if (static_cast<int64_t>(heap_->num_rows()) > rid) {
+      // The slot already exists — legal only as undo of a loser DELETE,
+      // where the checkpoint left a tombstone at this rid.
+      HD_RETURN_IF_ERROR(heap_->Resurrect(rid, row));
+    } else {
+      heap_->Append(row);
+    }
+    *held = true;
+  }
+  for (auto& ix : indexes_) {
+    HD_RETURN_IF_ERROR(InsertEntry(*ix, rid, row, m));
+    *held = true;
   }
   return Status::OK();
 }
 
 Status Table::InsertPacked(const PackedRow& row, QueryMetrics* m,
                            int64_t* rid_out, uint64_t wal_txn) {
-  const bool self_commit = wal_ != nullptr && wal_txn == 0;
-  if (self_commit) wal_txn = wal_->AllocTxnId();
-  // Log before allocating the rid for real: a failed append (wal.append
-  // failpoint) must leave no rid gap for a row that never existed.
-  const int64_t rid = next_rid_;
-  uint64_t lsn = 0;
-  if (wal_ != nullptr) {
-    Status ls = LogDml(WalRecordType::kInsert, wal_txn, rid, nullptr, &row,
-                       &lsn);
-    if (!ls.ok()) {
-      if (self_commit) (void)wal_->Abort(wal_txn);
-      return ls;
-    }
-  }
-  next_rid_ = rid + 1;
-  bool in_primary = false;
-  Status apply;
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap: {
-      uint64_t hrid = heap_->Append(row);
-      assert(static_cast<int64_t>(hrid) == rid);
-      (void)hrid;
-      in_primary = true;
-      break;
-    }
-    case PrimaryKind::kBTree: {
-      std::vector<int64_t> key = MakeBTreeKey(primary_keys_, row, rid);
-      apply = primary_btree_->Insert(key, row, m);
-      in_primary = apply.ok();
-      break;
-    }
-    case PrimaryKind::kColumnStore:
-      apply = primary_csi_->Insert(row, rid, m);
-      in_primary = apply.ok();
-      break;
-  }
-  if (apply.ok()) apply = InsertIntoSecondaries(row, rid, m);
-  if (!apply.ok()) {
-    if (in_primary) {
-      // Compensate so the statement is all-or-nothing: remove the primary
-      // copy (best-effort — a second injected failure here leaves an
-      // orphan primary row, which only over-counts, never corrupts).
-      // next_rid_ is NOT rolled back: heap RowIds must stay dense with the
-      // heap's physical slots, and gaps are harmless for the other
-      // primaries. The compensation delete is logged under the SAME wal
-      // txn, so replay reproduces the absence whether the txn commits or
-      // not.
-      RowRef ref;
-      ref.rid = rid;
-      ref.row = row;
-      (void)DeleteRows({ref}, nullptr, wal_txn);
-    }
-    if (self_commit) (void)wal_->Abort(wal_txn);
-    return apply;
-  }
-  StampLsn(rid, lsn);
-  if (rid_out != nullptr) *rid_out = rid;
-  if (self_commit) {
-    HD_RETURN_IF_ERROR(wal_->Commit(wal_txn));
-  }
+  // The rid is taken only once the record is logged: a failed append
+  // (wal.append failpoint) must leave no rid gap for a row that never
+  // existed.
+  const RowRef ref{next_rid_, {}};
+  HD_RETURN_IF_ERROR(RunStatement(
+      WalRecordType::kInsert, wal_txn, {&ref, 1}, {&row, 1},
+      [&](uint64_t txn) {
+        next_rid_ = ref.rid + 1;
+        bool held = false;
+        Status s = ApplyInsert(ref.rid, row, m, &held);
+        if (!s.ok() && held) {
+          // Compensate so the statement is all-or-nothing: remove the
+          // copies already made (best-effort — a second injected failure
+          // here leaves an orphan row, which only over-counts, never
+          // corrupts). next_rid_ is NOT rolled back: heap RowIds must stay
+          // dense with the heap's physical slots, and gaps are harmless
+          // for the other primaries. The compensation delete is logged
+          // under the SAME wal txn, so replay reproduces the absence
+          // whether the txn commits or not.
+          (void)DeleteRows({RowRef{ref.rid, row}}, nullptr, txn);
+        }
+        return s;
+      }));
+  if (rid_out != nullptr) *rid_out = ref.rid;
   return Status::OK();
 }
 
 Status Table::DeleteRows(const std::vector<RowRef>& rows, QueryMetrics* m,
                          uint64_t wal_txn) {
   if (rows.empty()) return Status::OK();
-  const bool self_commit = wal_ != nullptr && wal_txn == 0;
-  if (self_commit) wal_txn = wal_->AllocTxnId();
-  // WAL rule: log the whole batch before touching any structure, so a
-  // failed append fails the statement with nothing applied.
-  uint64_t last_lsn = 0;
-  if (wal_ != nullptr) {
-    for (const auto& r : rows) {
-      Status ls = LogDml(WalRecordType::kDelete, wal_txn, r.rid, &r.row,
-                         nullptr, &last_lsn);
-      if (!ls.ok()) {
-        if (self_commit) (void)wal_->Abort(wal_txn);
-        return ls;
-      }
-    }
-  }
-  std::vector<int64_t> rids;
-  rids.reserve(rows.size());
-  for (const auto& r : rows) rids.push_back(r.rid);
-
-  Status apply = [&]() -> Status {
-    switch (primary_kind_) {
-      case PrimaryKind::kHeap:
-        for (const auto& r : rows) {
-          HD_RETURN_IF_ERROR(heap_->Delete(r.rid, m));
+  return RunStatement(
+      WalRecordType::kDelete, wal_txn, rows, {}, [&](uint64_t) -> Status {
+        if (heap_) {
+          for (const auto& r : rows) HD_RETURN_IF_ERROR(heap_->Delete(r.rid, m));
         }
-        break;
-      case PrimaryKind::kBTree:
-        for (const auto& r : rows) {
-          std::vector<int64_t> key = MakeBTreeKey(primary_keys_, r.row, r.rid);
-          HD_RETURN_IF_ERROR(primary_btree_->Delete(key, m));
+        for (auto& ix : indexes_) {
+          HD_RETURN_IF_ERROR(DeleteEntries(*ix, rows, m));
         }
-        break;
-      case PrimaryKind::kColumnStore:
-        HD_RETURN_IF_ERROR(primary_csi_->DeleteBatch(rids, m));
-        break;
-    }
-    for (auto& si : secondaries_) {
-      if (si->btree) {
-        for (const auto& r : rows) {
-          std::vector<int64_t> key =
-              MakeBTreeKey(si->def.key_cols, r.row, r.rid);
-          HD_RETURN_IF_ERROR(si->btree->Delete(key, m));
-        }
-      } else {
-        HD_RETURN_IF_ERROR(si->csi->DeleteBatch(rids, m));
-      }
-    }
-    return Status::OK();
-  }();
-  // Conservative: stamp even on a partial failure — some structures did
-  // change, and over-marking dirtiness is always safe.
-  if (last_lsn != 0) {
-    for (const auto& r : rows) StampLsn(r.rid, last_lsn);
-  }
-  if (!apply.ok()) {
-    if (self_commit) (void)wal_->Abort(wal_txn);
-    return apply;
-  }
-  if (self_commit) {
-    HD_RETURN_IF_ERROR(wal_->Commit(wal_txn));
-  }
-  return Status::OK();
+        return Status::OK();
+      });
 }
 
 Status Table::UpdateRows(const std::vector<RowRef>& rows,
@@ -607,100 +632,18 @@ Status Table::UpdateRows(const std::vector<RowRef>& rows,
                          uint64_t wal_txn) {
   assert(rows.size() == news.size());
   if (rows.empty()) return Status::OK();
-  const bool self_commit = wal_ != nullptr && wal_txn == 0;
-  if (self_commit) wal_txn = wal_->AllocTxnId();
-  uint64_t last_lsn = 0;
-  if (wal_ != nullptr) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      Status ls = LogDml(WalRecordType::kUpdate, wal_txn, rows[i].rid,
-                         &rows[i].row, &news[i], &last_lsn);
-      if (!ls.ok()) {
-        if (self_commit) (void)wal_->Abort(wal_txn);
-        return ls;
-      }
-    }
-  }
-
-  auto keys_changed = [&](const std::vector<int>& key_cols, size_t i) {
-    for (int kc : key_cols) {
-      if (rows[i].row[kc] != news[i][kc]) return true;
-    }
-    return false;
-  };
-
-  Status apply = [&]() -> Status {
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap:
-      for (size_t i = 0; i < rows.size(); ++i) {
-        HD_RETURN_IF_ERROR(heap_->Update(rows[i].rid, news[i], m));
-      }
-      break;
-    case PrimaryKind::kBTree:
-      for (size_t i = 0; i < rows.size(); ++i) {
-        std::vector<int64_t> old_key =
-            MakeBTreeKey(primary_keys_, rows[i].row, rows[i].rid);
-        if (!keys_changed(primary_keys_, i)) {
-          HD_RETURN_IF_ERROR(primary_btree_->UpdatePayload(old_key, news[i], m));
-        } else {
-          HD_RETURN_IF_ERROR(primary_btree_->Delete(old_key, m));
-          std::vector<int64_t> new_key =
-              MakeBTreeKey(primary_keys_, news[i], rows[i].rid);
-          HD_RETURN_IF_ERROR(primary_btree_->Insert(new_key, news[i], m));
+  return RunStatement(
+      WalRecordType::kUpdate, wal_txn, rows, news, [&](uint64_t) -> Status {
+        if (heap_) {
+          for (size_t i = 0; i < rows.size(); ++i) {
+            HD_RETURN_IF_ERROR(heap_->Update(rows[i].rid, news[i], m));
+          }
         }
-      }
-      break;
-    case PrimaryKind::kColumnStore: {
-      // Paper, Section 2: a point update on a columnstore is a delete
-      // followed by an insert.
-      std::vector<int64_t> rids;
-      for (const auto& r : rows) rids.push_back(r.rid);
-      HD_RETURN_IF_ERROR(primary_csi_->DeleteBatch(rids, m));
-      for (size_t i = 0; i < rows.size(); ++i) {
-        HD_RETURN_IF_ERROR(primary_csi_->Insert(news[i], rows[i].rid, m));
-      }
-      break;
-    }
-  }
-
-  for (auto& si : secondaries_) {
-    if (si->btree) {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        std::vector<int64_t> old_key =
-            MakeBTreeKey(si->def.key_cols, rows[i].row, rows[i].rid);
-        std::vector<int64_t> payload;
-        payload.reserve(si->payload_cols.size());
-        for (int pc : si->payload_cols) payload.push_back(news[i][pc]);
-        if (!keys_changed(si->def.key_cols, i)) {
-          HD_RETURN_IF_ERROR(si->btree->UpdatePayload(old_key, payload, m));
-        } else {
-          HD_RETURN_IF_ERROR(si->btree->Delete(old_key, m));
-          std::vector<int64_t> new_key =
-              MakeBTreeKey(si->def.key_cols, news[i], rows[i].rid);
-          HD_RETURN_IF_ERROR(si->btree->Insert(new_key, payload, m));
+        for (auto& ix : indexes_) {
+          HD_RETURN_IF_ERROR(UpdateEntries(*ix, rows, news, m));
         }
-      }
-    } else {
-      std::vector<int64_t> rids;
-      for (const auto& r : rows) rids.push_back(r.rid);
-      HD_RETURN_IF_ERROR(si->csi->DeleteBatch(rids, m));
-      for (size_t i = 0; i < rows.size(); ++i) {
-        HD_RETURN_IF_ERROR(si->csi->Insert(news[i], rows[i].rid, m));
-      }
-    }
-  }
-  return Status::OK();
-  }();
-  if (last_lsn != 0) {
-    for (const auto& r : rows) StampLsn(r.rid, last_lsn);
-  }
-  if (!apply.ok()) {
-    if (self_commit) (void)wal_->Abort(wal_txn);
-    return apply;
-  }
-  if (self_commit) {
-    HD_RETURN_IF_ERROR(wal_->Commit(wal_txn));
-  }
-  return Status::OK();
+        return Status::OK();
+      });
 }
 
 Status Table::FetchRow(int64_t rid, std::span<const int64_t> pk_hint,
@@ -717,10 +660,10 @@ Status Table::FetchRow(int64_t rid, std::span<const int64_t> pk_hint,
       }
       std::vector<int64_t> key(pk_hint.begin(), pk_hint.end());
       key.push_back(rid);
-      return primary_btree_->SeekEqual(key, out->data(), m);
+      return primary_btree()->SeekEqual(key, out->data(), m);
     }
     case PrimaryKind::kColumnStore:
-      return primary_csi_->FetchRow(rid, out->data(), m);
+      return primary_csi()->FetchRow(rid, out->data(), m);
   }
   return Status::Internal("unreachable");
 }
@@ -739,30 +682,36 @@ void Table::ScanAll(const std::function<bool(int64_t, const int64_t*)>& fn,
       }, m);
       break;
     case PrimaryKind::kBTree: {
-      const int kw = primary_btree_key_width();
-      (void)primary_btree_->Scan(Bound::Unbounded(), Bound::Unbounded(),
-                                 [&](const int64_t* key, const int64_t* payload) {
-                                   return fn(key[kw - 1], payload);
-                                 },
-                                 m);
+      const size_t kw = primary_keys_.size() + 1;
+      (void)primary_btree()->Scan(
+          Bound::Unbounded(), Bound::Unbounded(),
+          [&](const int64_t* key, const int64_t* payload) {
+            return fn(key[kw - 1], payload);
+          },
+          m);
       break;
     }
     case PrimaryKind::kColumnStore: {
       // Callers hold the table latch (or run single-threaded); the view
       // reads every column.
-      Result<CsiViewPtr> view = primary_csi_->Pin(m);
+      Result<CsiViewPtr> view = primary_csi()->Pin(m);
       if (view.ok()) (void)(*view)->ForEachRow(fn, m);
       break;
     }
   }
 }
 
-void Table::CollectAll(std::vector<PackedRow>* rows,
-                       std::vector<int64_t>* rids) const {
+void Table::Collect(std::vector<std::vector<int64_t>>* cols,
+                    std::vector<int64_t>* rids) const {
   const int ncols = schema_.num_columns();
+  const uint64_t n = num_rows();
+  cols->assign(ncols, {});
+  for (auto& c : *cols) c.reserve(n);
+  rids->clear();
+  rids->reserve(n);
   ScanAll(
       [&](int64_t rid, const int64_t* row) {
-        rows->emplace_back(row, row + ncols);
+        for (int c = 0; c < ncols; ++c) (*cols)[c].push_back(row[c]);
         rids->push_back(rid);
         return true;
       },
@@ -809,12 +758,13 @@ void Table::Analyze() {
 }
 
 uint64_t Table::num_rows() const {
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap: return heap_->live_rows();
-    case PrimaryKind::kBTree: return primary_btree_->num_entries();
-    case PrimaryKind::kColumnStore: return primary_csi_->num_rows();
-  }
-  return 0;
+  if (heap_) return heap_->live_rows();
+  const TableIndex& p = *indexes_[0];
+  return p.btree ? p.btree->num_entries() : p.csi->num_rows();
+}
+
+uint64_t Table::primary_size_bytes() const {
+  return heap_ ? heap_->size_bytes() : indexes_[0]->size_bytes();
 }
 
 // ---------------- recovery appliers (catalog/recovery.cc) ----------------
@@ -824,113 +774,30 @@ void Table::RecoverRestoreDict(int col, std::vector<std::string> strings,
   if (dicts_[col]) dicts_[col]->Restore(std::move(strings), sorted);
 }
 
-void Table::RecoverLoad(std::vector<std::vector<int64_t>> cols,
-                        std::vector<int64_t> rids, int64_t next_rid) {
-  const size_t n = rids.size();
-  const int ncols = schema_.num_columns();
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap: {
-      heap_ = std::make_unique<HeapFile>(ncols, pool_);
-      // Heap rids are physical positions: install in rid order, padding
-      // gaps (rows deleted before the checkpoint) with tombstones.
-      std::vector<size_t> order(n);
-      for (size_t i = 0; i < n; ++i) order[i] = i;
-      std::sort(order.begin(), order.end(),
-                [&](size_t a, size_t b) { return rids[a] < rids[b]; });
-      PackedRow row(ncols);
-      for (size_t idx : order) {
-        while (static_cast<int64_t>(heap_->num_rows()) < rids[idx]) {
-          heap_->AppendTombstone();
-        }
-        for (int c = 0; c < ncols; ++c) row[c] = cols[c][idx];
-        heap_->Append(row);
-      }
-      break;
-    }
-    case PrimaryKind::kBTree: {
-      const int kw = primary_btree_key_width();
-      primary_btree_ = std::make_unique<BTree>(kw, ncols, pool_);
-      std::vector<size_t> perm(n);
-      for (size_t i = 0; i < n; ++i) perm[i] = i;
-      std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-        for (int kc : primary_keys_) {
-          if (cols[kc][a] != cols[kc][b]) return cols[kc][a] < cols[kc][b];
-        }
-        return rids[a] < rids[b];
-      });
-      std::vector<int64_t> flat;
-      flat.reserve(n * (kw + ncols));
-      for (size_t src : perm) {
-        for (int kc : primary_keys_) flat.push_back(cols[kc][src]);
-        flat.push_back(rids[src]);  // stored rid, NOT position
-        for (int c = 0; c < ncols; ++c) flat.push_back(cols[c][src]);
-      }
-      primary_btree_->BulkLoad(flat);
-      break;
-    }
-    case PrimaryKind::kColumnStore: {
-      primary_csi_ = std::make_unique<ColumnStoreIndex>(
-          ColumnStoreIndex::Kind::kPrimary, ncols, pool_);
-      primary_csi_->BulkLoad(std::move(cols), std::move(rids));
-      break;
-    }
-  }
-  next_rid_ = next_rid;
-  for (auto& si : secondaries_) RebuildSecondary(si.get());
-  Analyze();
+Status Table::RecoverLoad(PrimaryKind kind, std::vector<int> primary_keys,
+                          const std::vector<IndexDef>& secondaries,
+                          std::vector<std::vector<int64_t>> cols,
+                          std::vector<int64_t> rids, int64_t next_rid) {
+  HD_RETURN_IF_ERROR(SetPrimaryEntry(kind, std::move(primary_keys)));
+  for (const IndexDef& def : secondaries) HD_RETURN_IF_ERROR(AddIndex(def));
+  LoadRows(std::move(cols), std::move(rids), next_rid);
+  return Status::OK();
 }
 
 Status Table::RecoverInsert(int64_t rid, const PackedRow& row) {
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap: {
-      while (static_cast<int64_t>(heap_->num_rows()) < rid) {
-        heap_->AppendTombstone();
-      }
-      if (static_cast<int64_t>(heap_->num_rows()) > rid) {
-        // The slot already exists — legal only as undo of a loser DELETE,
-        // where the checkpoint left a tombstone at this rid.
-        HD_RETURN_IF_ERROR(heap_->Resurrect(rid, row));
-      } else {
-        heap_->Append(row);
-      }
-      break;
-    }
-    case PrimaryKind::kBTree: {
-      std::vector<int64_t> key = MakeBTreeKey(primary_keys_, row, rid);
-      HD_RETURN_IF_ERROR(primary_btree_->Insert(key, row, nullptr));
-      break;
-    }
-    case PrimaryKind::kColumnStore:
-      HD_RETURN_IF_ERROR(primary_csi_->Insert(row, rid, nullptr));
-      break;
-  }
-  HD_RETURN_IF_ERROR(InsertIntoSecondaries(row, rid, nullptr));
+  bool held = false;
+  HD_RETURN_IF_ERROR(ApplyInsert(rid, row, nullptr, &held));
   next_rid_ = std::max(next_rid_, rid + 1);
   return Status::OK();
 }
 
 Status Table::RecoverUpdate(int64_t rid, const PackedRow& old_row,
                             const PackedRow& new_row) {
-  RowRef ref;
-  ref.rid = rid;
-  ref.row = old_row;
-  return UpdateRows({ref}, {new_row}, nullptr);
+  return UpdateRows({RowRef{rid, old_row}}, {new_row}, nullptr);
 }
 
 Status Table::RecoverDelete(int64_t rid, const PackedRow& old_row) {
-  RowRef ref;
-  ref.rid = rid;
-  ref.row = old_row;
-  return DeleteRows({ref}, nullptr);
-}
-
-uint64_t Table::primary_size_bytes() const {
-  switch (primary_kind_) {
-    case PrimaryKind::kHeap: return heap_->size_bytes();
-    case PrimaryKind::kBTree: return primary_btree_->size_bytes();
-    case PrimaryKind::kColumnStore: return primary_csi_->size_bytes();
-  }
-  return 0;
+  return DeleteRows({RowRef{rid, old_row}}, nullptr);
 }
 
 }  // namespace hd

@@ -1,4 +1,4 @@
-// Table: schema + primary storage + secondary indexes + DML fan-out.
+// Table: schema + primary storage + index list + DML fan-out.
 //
 // Mirrors SQL Server's physical design space (Section 2): the primary
 // structure is a heap, a clustered B+ tree, or a primary columnstore;
@@ -9,10 +9,23 @@
 // for non-unique clustered keys); secondary B+ trees do the same and their
 // payload carries included columns plus the primary key columns needed to
 // address the clustered index.
+//
+// Index list: a clustered B+ tree or a primary columnstore is one more
+// TableIndex entry, at the front of the list and with an empty name; the
+// clustered tree's key columns are the primary key and its payload is the
+// whole row. Only a heap sits outside the list, because its RowId is a
+// physical slot. Each DML operation has one applier per structure kind
+// (B+ tree insert / delete / payload update, columnstore insert /
+// statement-granular delete; a key-changing update is delete + insert),
+// and the same appliers serve the primary entry, every secondary, the
+// statements and recovery's redo and loser undo. One loader with explicit
+// RowIds builds the heap and every entry for BulkLoadPacked, SetPrimary
+// and RecoverLoad.
 #pragma once
 
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,11 +43,13 @@ namespace hd {
 
 enum class PrimaryKind { kHeap, kBTree, kColumnStore };
 
-/// A materialized secondary index.
-struct SecondaryIndex {
+/// A materialized B+ tree or columnstore: the clustered B+ tree or the
+/// primary columnstore (`def.is_primary`, empty name) or a secondary.
+struct TableIndex {
   IndexDef def;
-  /// Columns stored in the payload of a secondary B+ tree: the declared
-  /// included columns plus (deduped) primary-key columns.
+  /// Columns stored in a B+ tree entry's payload, in payload order: the
+  /// whole row for the clustered tree; the declared included columns plus
+  /// (deduped) clustered-key columns for a secondary.
   std::vector<int> payload_cols;
   std::unique_ptr<BTree> btree;
   std::unique_ptr<ColumnStoreIndex> csi;
@@ -87,7 +102,7 @@ class Table {
   // ---------- physical design ----------
 
   /// Change the primary structure. Rebuilds secondaries; RowIds are
-  /// reassigned in the new storage order.
+  /// reassigned densely, in the order the old primary stored the rows.
   Status SetPrimary(PrimaryKind kind, std::vector<int> key_cols = {});
 
   Status CreateSecondaryBTree(const std::string& name,
@@ -108,12 +123,23 @@ class Table {
   PrimaryKind primary_kind() const { return primary_kind_; }
   const std::vector<int>& primary_key_cols() const { return primary_keys_; }
   HeapFile* heap() const { return heap_.get(); }
-  BTree* primary_btree() const { return primary_btree_.get(); }
-  ColumnStoreIndex* primary_csi() const { return primary_csi_.get(); }
-  const std::vector<std::unique_ptr<SecondaryIndex>>& secondaries() const {
-    return secondaries_;
+  BTree* primary_btree() const {
+    return primary_kind_ == PrimaryKind::kBTree ? indexes_[0]->btree.get()
+                                                : nullptr;
   }
-  SecondaryIndex* FindSecondary(const std::string& name) const;
+  ColumnStoreIndex* primary_csi() const {
+    return primary_kind_ == PrimaryKind::kColumnStore ? indexes_[0]->csi.get()
+                                                      : nullptr;
+  }
+  /// The secondary indexes: the index list without its primary entry.
+  std::span<const std::unique_ptr<TableIndex>> secondaries() const {
+    return std::span(indexes_).subspan(
+        primary_kind_ == PrimaryKind::kHeap ? 0 : 1);
+  }
+  TableIndex* FindSecondary(const std::string& name) const;
+  /// A secondary by name, or the primary entry for an empty name (null
+  /// for a heap primary).
+  TableIndex* FindIndex(const std::string& name) const;
   /// The table's columnstore (primary or secondary), if any.
   ColumnStoreIndex* any_csi() const;
   bool has_secondary_csi() const;
@@ -131,7 +157,7 @@ class Table {
 
   /// Insert one packed row everywhere; `*rid_out` (optional) receives its
   /// RowId. On failure the row is absent from every structure: a failed
-  /// secondary insert compensates by deleting the primary copy, so a
+  /// index insert compensates by deleting the copies already made, so a
   /// statement-level retry re-inserts cleanly.
   Status InsertPacked(const PackedRow& row, QueryMetrics* m,
                       int64_t* rid_out = nullptr, uint64_t wal_txn = 0);
@@ -160,6 +186,10 @@ class Table {
   void ScanAll(const std::function<bool(int64_t rid, const int64_t*)>& fn,
                QueryMetrics* m) const;
 
+  /// Every live row, column-major, with its rid, in primary storage order.
+  void Collect(std::vector<std::vector<int64_t>>* cols,
+               std::vector<int64_t>* rids) const;
+
   /// Block-level sample in storage order: whole blocks of `block_rows`
   /// rows are taken with probability `ratio` (the biased sampling regime
   /// Section 4.4's estimators must cope with).
@@ -175,15 +205,6 @@ class Table {
 
   uint64_t num_rows() const;
   uint64_t primary_size_bytes() const;
-  /// Key width (int64 slots) of the clustered B+ tree incl. uniquifier.
-  int primary_btree_key_width() const {
-    return static_cast<int>(primary_keys_.size()) + 1;
-  }
-
-  /// Build the packed B+ tree key (key cols + rid) for a row image.
-  std::vector<int64_t> MakeBTreeKey(const std::vector<int>& key_cols,
-                                    const PackedRow& row, int64_t rid) const;
-
   const StringDict* dict(int col) const { return dicts_[col].get(); }
 
   // ---------- durability (storage/wal.h, catalog/recovery.h) ----------
@@ -226,12 +247,16 @@ class Table {
   /// Restore a column dictionary image from a checkpoint.
   void RecoverRestoreDict(int col, std::vector<std::string> strings,
                           bool sorted);
-  /// Bulk-install checkpointed rows (packed against the restored dicts)
-  /// with explicit rids; `next_rid` restores the allocation point. Heap
-  /// primaries pad rid gaps with tombstones so positions stay faithful.
-  void RecoverLoad(std::vector<std::vector<int64_t>> cols,
-                   std::vector<int64_t> rids, int64_t next_rid);
-  /// Redo one logged insert at its original rid.
+  /// Install a checkpointed physical design and its rows (packed against
+  /// the restored dicts) with explicit rids, building each structure once;
+  /// `next_rid` restores the allocation point. Heap primaries pad rid gaps
+  /// with tombstones so positions stay faithful.
+  Status RecoverLoad(PrimaryKind kind, std::vector<int> primary_keys,
+                     const std::vector<IndexDef>& secondaries,
+                     std::vector<std::vector<int64_t>> cols,
+                     std::vector<int64_t> rids, int64_t next_rid);
+  /// Redo one logged insert (or undo one loser delete) at its original rid:
+  /// the statements' insert applier.
   Status RecoverInsert(int64_t rid, const PackedRow& row);
   Status RecoverUpdate(int64_t rid, const PackedRow& old_row,
                        const PackedRow& new_row);
@@ -246,19 +271,39 @@ class Table {
   FairSharedMutex& phys_latch() const { return phys_latch_; }
 
  private:
-  void RebuildSecondary(SecondaryIndex* si);
-  Status InsertIntoSecondaries(const PackedRow& row, int64_t rid,
-                               QueryMetrics* m);
-  /// Append one DML record under `txn` (WAL bound). Stamps nothing.
-  Status LogDml(WalRecordType type, uint64_t txn, int64_t rid,
-                const PackedRow* old_row, const PackedRow* new_row,
-                uint64_t* lsn_out);
-  /// Stamp the structures a logged mutation touched with its LSN (pageLSN
+  /// Replace the primary: drop the old primary entry (and heap), set the
+  /// kind, and put an unbuilt entry at the front of the index list for a
+  /// clustered B+ tree or a primary columnstore.
+  Status SetPrimaryEntry(PrimaryKind kind, std::vector<int> key_cols);
+  /// Validate `def` and append its unbuilt entry to the index list.
+  Status AddIndex(IndexDef def);
+  /// AddIndex, then build the new entry from the table's rows.
+  Status CreateIndex(IndexDef def);
+  /// The one loader: rows with explicit rids become the heap (rid order,
+  /// gaps padded with tombstones) and every entry of the index list.
+  void LoadRows(std::vector<std::vector<int64_t>> cols,
+                std::vector<int64_t> rids, int64_t next_rid);
+  /// Build index-list entries [first, end) from rows in primary storage
+  /// order: B+ trees first, then the columnstore takes the columns.
+  void BuildIndexes(size_t first, std::vector<std::vector<int64_t>> cols,
+                    std::vector<int64_t> rids);
+
+  /// Insert applier over the heap and every index; `*held` is set once a
+  /// structure holds the row. A heap slot past the end pads the gap with
+  /// tombstones; an existing one (recovery undoing a delete) is resurrected.
+  Status ApplyInsert(int64_t rid, const PackedRow& row, QueryMetrics* m,
+                     bool* held);
+  /// The statement frame every DML call shares: log each record under
+  /// `txn` before anything is applied (WAL rule), run `apply(txn)`, stamp
+  /// the structures with the last LSN, and commit — or abort on failure —
+  /// a statement that `txn` = 0 self-wraps.
+  template <typename Apply>
+  Status RunStatement(WalRecordType type, uint64_t txn,
+                      std::span<const RowRef> rows,
+                      std::span<const PackedRow> news, Apply apply);
+  /// Stamp the structures a logged statement touched with its LSN (pageLSN
   /// plumbing + buffer-pool dirty tracking) and advance applied_lsn_.
-  void StampLsn(int64_t rid, uint64_t lsn);
-  std::vector<int> ComputePayloadCols(const IndexDef& def) const;
-  /// Collect all live rows (with rids) from the current primary.
-  void CollectAll(std::vector<PackedRow>* rows, std::vector<int64_t>* rids) const;
+  void StampLsn(std::span<const RowRef> rows, uint64_t lsn);
 
   std::string name_;
   Schema schema_;
@@ -267,10 +312,10 @@ class Table {
 
   PrimaryKind primary_kind_ = PrimaryKind::kHeap;
   std::vector<int> primary_keys_;
-  std::unique_ptr<HeapFile> heap_;
-  std::unique_ptr<BTree> primary_btree_;
-  std::unique_ptr<ColumnStoreIndex> primary_csi_;
-  std::vector<std::unique_ptr<SecondaryIndex>> secondaries_;
+  std::unique_ptr<HeapFile> heap_;  // heap primaries only
+  /// The index list: the primary entry first unless the primary is a
+  /// heap, then the secondaries.
+  std::vector<std::unique_ptr<TableIndex>> indexes_;
 
   int64_t next_rid_ = 0;
   TableStats stats_;

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
-#include <numeric>
 #include <shared_mutex>
 #include <unordered_map>
 
@@ -146,28 +145,24 @@ Status ResolvePath(const Table& t, const AccessPath& path, ResolvedPath* out) {
     return out->heap != nullptr ? Status::OK()
                                 : Status::NotFound("heap of " + t.name());
   }
-  const SecondaryIndex* si = nullptr;
-  if (!path.index_name.empty()) {
-    si = t.FindSecondary(path.index_name);
-    if (si == nullptr) return Status::NotFound("index " + path.index_name);
+  // An empty name is the primary entry: a clustered B+ tree's payload is
+  // the whole row.
+  const TableIndex* ix = t.FindIndex(path.index_name);
+  const bool named = !path.index_name.empty();
+  if (ix == nullptr && named) {
+    return Status::NotFound("index " + path.index_name);
   }
-  const std::string what = si != nullptr ? "index " + path.index_name
-                                         : "primary of " + t.name();
+  const std::string what =
+      named ? "index " + path.index_name : "primary of " + t.name();
   if (path.is_csi()) {
-    out->csi = si != nullptr ? si->csi.get() : t.primary_csi();
+    out->csi = ix != nullptr ? ix->csi.get() : nullptr;
     return out->csi != nullptr ? Status::OK()
                                : Status::NotFound("columnstore " + what);
   }
-  if (si != nullptr) {
-    out->tree = si->btree.get();
-    out->key_cols = si->def.key_cols;
-    out->payload_cols = si->payload_cols;
-  } else {
-    // A clustered B+ tree's payload is the whole row.
-    out->tree = t.primary_btree();
-    out->key_cols = t.primary_key_cols();
-    out->payload_cols.resize(t.num_columns());
-    std::iota(out->payload_cols.begin(), out->payload_cols.end(), 0);
+  if (ix != nullptr && ix->btree) {
+    out->tree = ix->btree.get();
+    out->key_cols = ix->def.key_cols;
+    out->payload_cols = ix->payload_cols;
   }
   return out->tree != nullptr ? Status::OK()
                               : Status::NotFound("B+ tree " + what);
@@ -1483,6 +1478,11 @@ Status Executor::Impl::RunSelect() {
         }
         if (cur == 0) return true;
         if (nsteps > 0) prow = js.prow.data();
+        // Under a LIMIT without ORDER BY the sink takes only a prefix:
+        // read (and lock) just that prefix, as row mode stops at the
+        // LIMIT row.
+        cur = std::min<uint64_t>(cur, sink->Remaining());
+        if (cur == 0) return false;
         if (txn_row_reads) {
           for (size_t j = 0; j < cur; ++j) {
             const uint32_t pi =

@@ -54,6 +54,12 @@ uint64_t OutputSink::rows_in() const {
   return n;
 }
 
+uint64_t OutputSink::Remaining() const {
+  if (o_.limit < 0 || !o_.order_keys.empty()) return UINT64_MAX;
+  const uint64_t limit = static_cast<uint64_t>(o_.limit);
+  return limit - std::min(limit, taken_.load(std::memory_order_relaxed));
+}
+
 Status OutputSink::Finish(QueryResult* res, QueryMetrics* fm) {
   const size_t stride = o_.cols.size();
   std::vector<int64_t> all;

@@ -36,6 +36,8 @@ class Sink {
   virtual Status Finish(QueryResult* res, QueryMetrics* fm) = 0;
   /// Rows taken so far; exact after Finish.
   virtual uint64_t rows_in() const = 0;
+  /// Rows the sink still takes before it stops (UINT64_MAX = no bound).
+  virtual uint64_t Remaining() const { return UINT64_MAX; }
 };
 
 class OutputSink : public Sink {
@@ -65,6 +67,8 @@ class OutputSink : public Sink {
   bool AddRow(int w, const int64_t* vals) override;
   Status Finish(QueryResult* res, QueryMetrics* fm) override;
   uint64_t rows_in() const override;
+  /// Bounded only under a LIMIT without ORDER BY.
+  uint64_t Remaining() const override;
 
  private:
   struct Part {

@@ -105,7 +105,7 @@ TEST_F(TableTest, SetPrimaryColumnStorePreservesData) {
 TEST_F(TableTest, SecondaryBTreeLookup) {
   ASSERT_TRUE(t_->SetPrimary(PrimaryKind::kBTree, {0}).ok());
   ASSERT_TRUE(t_->CreateSecondaryBTree("ix_day", {3}, {1}).ok());
-  SecondaryIndex* si = t_->FindSecondary("ix_day");
+  TableIndex* si = t_->FindSecondary("ix_day");
   ASSERT_NE(si, nullptr);
   EXPECT_EQ(si->btree->num_entries(), 1000u);
   // Payload must include the included col and the pk col (id).

@@ -135,10 +135,19 @@ TEST_P(CrossDesignProperty, RandomQueriesAgreeAcrossDesigns) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossDesignProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 
-class DmlConsistencyProperty : public ::testing::TestWithParam<uint64_t> {};
+/// One DML property case: the primary structure and the RNG seed. Test
+/// names carry the seed only; the instantiation names the primary.
+struct DmlCase {
+  PrimaryKind primary;
+  uint64_t seed;
+};
+void PrintTo(const DmlCase& c, std::ostream* os) { *os << c.seed; }
+
+class DmlConsistencyProperty : public ::testing::TestWithParam<DmlCase> {};
 
 TEST_P(DmlConsistencyProperty, RandomDmlKeepsIndexesConsistent) {
-  const uint64_t seed = GetParam();
+  const PrimaryKind primary = GetParam().primary;
+  const uint64_t seed = GetParam().seed;
   Rng rng(seed);
   Database db;
   MicroOptions mo;
@@ -146,12 +155,22 @@ TEST_P(DmlConsistencyProperty, RandomDmlKeepsIndexesConsistent) {
   mo.max_value = 500;
   mo.seed = seed;
   Table* t = MakeUniformIntTable(&db, "t", 3, mo);
-  ASSERT_TRUE(t->SetPrimary(PrimaryKind::kBTree, {0}).ok());
-  ASSERT_TRUE(t->CreateSecondaryBTree("ix", {1}, {2}).ok());
-  ASSERT_TRUE(t->CreateSecondaryColumnStore("csi").ok());
+  if (primary != PrimaryKind::kHeap) {
+    ASSERT_TRUE(t->SetPrimary(primary, {0}).ok());
+  }
+  // Col 0 is included so that, over every primary, the secondary B+ tree
+  // covers the checks below and they read its entries, not primary rows.
+  ASSERT_TRUE(t->CreateSecondaryBTree("ix", {1}, {2, 0}).ok());
+  // One columnstore per table: a primary columnstore precludes a
+  // secondary one.
+  const bool secondary_csi = primary != PrimaryKind::kColumnStore;
+  if (secondary_csi) {
+    ASSERT_TRUE(t->CreateSecondaryColumnStore("csi").ok());
+  }
 
   // Reference state: multiset of (col0, col1, col2).
-  std::multiset<std::array<int64_t, 3>> ref;
+  using RefRow = std::array<int64_t, 3>;
+  std::multiset<RefRow> ref;
   t->ScanAll(
       [&](int64_t, const int64_t* row) {
         ref.insert({row[0], row[1], row[2]});
@@ -161,7 +180,7 @@ TEST_P(DmlConsistencyProperty, RandomDmlKeepsIndexesConsistent) {
 
   for (int step = 0; step < 30; ++step) {
     const int64_t v = rng.Uniform(0, 500);
-    const int op = static_cast<int>(rng.Uniform(0, 2));
+    const int op = static_cast<int>(rng.Uniform(0, 4));
     if (op == 0) {
       // Delete all rows with col1 == v.
       Query d;
@@ -172,18 +191,22 @@ TEST_P(DmlConsistencyProperty, RandomDmlKeepsIndexesConsistent) {
       for (auto it = ref.begin(); it != ref.end();) {
         it = (*it)[1] == v ? ref.erase(it) : std::next(it);
       }
-    } else if (op == 1) {
-      // Update col2 += 7 for col1 == v.
+    } else if (op <= 3) {
+      // Update for col1 == v: col2 += 7 changes only payloads; col0 += 1000
+      // moves rows in the clustered B+ tree; col1 += 3 moves them in the
+      // secondary B+ tree.
+      const int col = op == 1 ? 2 : op == 2 ? 0 : 1;
+      const int64_t delta = op == 1 ? 7 : op == 2 ? 1000 : 3;
       Query u;
       u.kind = Query::Kind::kUpdate;
       u.base.table = "t";
       u.base.preds = {Pred::Eq(1, Value::Int64(v))};
-      u.sets = {UpdateSet::Add(2, 7)};
+      u.sets = {UpdateSet::Add(col, static_cast<double>(delta))};
       RunQ(&db, u);
-      std::multiset<std::array<int64_t, 3>> next;
-      for (const auto& r : ref) {
-        next.insert(r[1] == v ? std::array<int64_t, 3>{r[0], r[1], r[2] + 7}
-                              : r);
+      std::multiset<RefRow> next;
+      for (RefRow r : ref) {
+        if (r[1] == v) r[col] += delta;
+        next.insert(r);
       }
       ref = std::move(next);
     } else {
@@ -203,12 +226,14 @@ TEST_P(DmlConsistencyProperty, RandomDmlKeepsIndexesConsistent) {
   }
 
   // The primary and all secondary structures must agree with the
-  // reference, via three access paths.
+  // reference, via each access path.
   auto check_counts = [&](const char* which, const AccessPath::Kind kind,
                           const std::string& index) {
     Query q;
     q.base.table = "t";
-    q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, 2), "s2")};
+    q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, 2), "s2"),
+              AggSpec::Sum(Expr::Col(0, 0), "s0"),
+              AggSpec::Sum(Expr::Col(0, 1), "s1")};
     PhysicalPlan p;
     p.base.kind = kind;
     p.base.index_name = index;
@@ -218,19 +243,47 @@ TEST_P(DmlConsistencyProperty, RandomDmlKeepsIndexesConsistent) {
     Executor ex(ctx);
     QueryResult r = ex.Execute(q, p);
     ASSERT_TRUE(r.ok()) << which;
-    int64_t ref_count = static_cast<int64_t>(ref.size());
-    int64_t ref_sum = 0;
-    for (const auto& e : ref) ref_sum += e[2];
-    EXPECT_EQ(r.rows[0][0].i64(), ref_count) << which << " seed " << seed;
-    EXPECT_EQ(r.rows[0][1].i64(), ref_sum) << which << " seed " << seed;
+    int64_t ref_sum[3] = {0, 0, 0};
+    for (const auto& e : ref) {
+      for (int c = 0; c < 3; ++c) ref_sum[c] += e[c];
+    }
+    EXPECT_EQ(r.rows[0][0].i64(), static_cast<int64_t>(ref.size()))
+        << which << " seed " << seed;
+    EXPECT_EQ(r.rows[0][1].i64(), ref_sum[2]) << which << " seed " << seed;
+    EXPECT_EQ(r.rows[0][2].i64(), ref_sum[0]) << which << " seed " << seed;
+    EXPECT_EQ(r.rows[0][3].i64(), ref_sum[1]) << which << " seed " << seed;
   };
-  check_counts("primary btree", AccessPath::Kind::kBTreeFullScan, "");
-  check_counts("secondary csi", AccessPath::Kind::kCsiScan, "csi");
+  switch (primary) {
+    case PrimaryKind::kHeap:
+      check_counts("heap", AccessPath::Kind::kHeapScan, "");
+      break;
+    case PrimaryKind::kBTree:
+      check_counts("primary btree", AccessPath::Kind::kBTreeFullScan, "");
+      break;
+    case PrimaryKind::kColumnStore:
+      check_counts("primary csi", AccessPath::Kind::kCsiScan, "");
+      break;
+  }
+  if (secondary_csi) {
+    check_counts("secondary csi", AccessPath::Kind::kCsiScan, "csi");
+  }
   check_counts("secondary btree", AccessPath::Kind::kBTreeRange, "ix");
 }
 
+std::vector<DmlCase> DmlCases(PrimaryKind primary) {
+  std::vector<DmlCase> out;
+  for (uint64_t seed : {7, 19, 31, 43}) out.push_back({primary, seed});
+  return out;
+}
+
+// "Seeds" is the clustered B+ tree, the first design this test covered.
 INSTANTIATE_TEST_SUITE_P(Seeds, DmlConsistencyProperty,
-                         ::testing::Values(7, 19, 31, 43));
+                         ::testing::ValuesIn(DmlCases(PrimaryKind::kBTree)));
+INSTANTIATE_TEST_SUITE_P(HeapSeeds, DmlConsistencyProperty,
+                         ::testing::ValuesIn(DmlCases(PrimaryKind::kHeap)));
+INSTANTIATE_TEST_SUITE_P(
+    CsiSeeds, DmlConsistencyProperty,
+    ::testing::ValuesIn(DmlCases(PrimaryKind::kColumnStore)));
 
 }  // namespace
 }  // namespace hd

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -538,6 +539,191 @@ TEST_F(RecoveryTest, UpdatesAndDeletesReplay) {
       nullptr);
   EXPECT_TRUE(found7);
   EXPECT_FALSE(found9);
+}
+
+// Restart redo and loser undo run through the statements' appliers, so
+// every structure — primary, secondary B+ tree, columnstore — must come
+// back holding exactly the committed rows at their original rids, after
+// inserts, payload updates, key-changing updates on the clustered key
+// (col 0) and the secondary key (col 2), and deletes.
+TEST_F(RecoveryTest, RedoAndUndoRebuildEveryStructure) {
+  for (PrimaryKind kind :
+       {PrimaryKind::kHeap, PrimaryKind::kBTree, PrimaryKind::kColumnStore}) {
+    SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)));
+    const std::string dir =
+        FreshDir("everystruct" + std::to_string(static_cast<int>(kind)));
+    std::map<int64_t, Row> expect;  // rid -> committed row
+    {
+      auto db = MakeDurable(dir, DurabilityMode::kCommit, 60, kind);
+      Table* t = db->GetTable("t");
+      ASSERT_TRUE(t->CreateSecondaryBTree("ix_v", {2}, {1}).ok());
+      ASSERT_TRUE(db->Checkpoint().ok());
+      auto rows_where = [&](auto pred) {
+        std::vector<RowRef> out;
+        t->ScanAll(
+            [&](int64_t rid, const int64_t* row) {
+              if (pred(row)) out.push_back({rid, PackedRow(row, row + 3)});
+              return true;
+            },
+            nullptr);
+        return out;
+      };
+      for (int i = 0; i < 5; ++i) {
+        int64_t rid = -1;
+        ASSERT_TRUE(t->InsertPacked(
+                         t->PackRow({Value::Int64(1000 + i),
+                                     Value::String("new" + std::to_string(i)),
+                                     Value::Int64(5 * i)}),
+                         nullptr, &rid)
+                        .ok());
+      }
+      // Payload update (name), clustered-key update (k), secondary-key
+      // update (v), each on its own rows.
+      const std::pair<int, Value> sets[] = {
+          {1, Value::String("renamed")}, {0, Value::Int64(-1)},
+          {2, Value::Int64(123456)}};
+      for (size_t si = 0; si < 3; ++si) {
+        std::vector<RowRef> upd = rows_where([&](const int64_t* row) {
+          return row[0] >= 0 && row[0] < 1000 &&
+                 static_cast<size_t>(row[0] % 3) == si && row[0] % 2 == 0;
+        });
+        ASSERT_FALSE(upd.empty());
+        std::vector<PackedRow> news;
+        for (const RowRef& r : upd) {
+          Row nr = t->UnpackRow(r.row);
+          nr[sets[si].first] =
+              sets[si].first == 0 ? Value::Int64(-1 - r.row[0]) : sets[si].second;
+          news.push_back(t->PackRow(nr));
+        }
+        ASSERT_TRUE(t->UpdateRows(upd, news, nullptr).ok());
+      }
+      ASSERT_TRUE(t->DeleteRows(rows_where([](const int64_t* row) {
+                                  return row[0] % 5 == 1;
+                                }),
+                                nullptr)
+                      .ok());
+      t->ScanAll(
+          [&](int64_t rid, const int64_t* row) {
+            expect[rid] = t->UnpackRow(PackedRow(row, row + 3));
+            return true;
+          },
+          nullptr);
+      // The loser: an insert, a key-changing update and a delete under a
+      // transaction the crash leaves open.
+      const uint64_t orphan = db->wal()->AllocTxnId();
+      ASSERT_TRUE(t->InsertPacked(t->PackRow({Value::Int64(9999),
+                                              Value::String("ghost"),
+                                              Value::Int64(1)}),
+                                  nullptr, nullptr, orphan)
+                      .ok());
+      std::vector<RowRef> lose = rows_where(
+          [](const int64_t* row) { return row[0] == 3 || row[0] == 7; });
+      ASSERT_EQ(lose.size(), 2u);
+      PackedRow moved = lose[0].row;
+      moved[0] = 777777;
+      moved[2] = 777777;
+      ASSERT_TRUE(
+          t->UpdateRows({lose[0]}, {moved}, nullptr, orphan).ok());
+      ASSERT_TRUE(t->DeleteRows({lose[1]}, nullptr, orphan).ok());
+      ASSERT_TRUE(db->wal()->Flush().ok());
+      // kill -9: no checkpoint since the DML.
+    }
+    Database db2;
+    RecoveryStats stats;
+    ASSERT_TRUE(db2.OpenDurability(dir, DurabilityMode::kCommit, WalOptions(),
+                                   &stats)
+                    .ok());
+    EXPECT_GT(stats.undo_records, 0u);
+    Table* t = db2.GetTable("t");
+    ASSERT_NE(t, nullptr);
+    std::map<int64_t, Row> primary, csi_rows;
+    t->ScanAll(
+        [&](int64_t rid, const int64_t* row) {
+          primary[rid] = t->UnpackRow(PackedRow(row, row + 3));
+          return true;
+        },
+        nullptr);
+    EXPECT_EQ(primary, expect) << "primary";
+    Result<CsiViewPtr> view = t->any_csi()->Pin(nullptr);
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE((*view)
+                    ->ForEachRow(
+                        [&](int64_t rid, const int64_t* row) {
+                          csi_rows[rid] = t->UnpackRow(PackedRow(row, row + 3));
+                          return true;
+                        },
+                        nullptr)
+                    .ok());
+    EXPECT_EQ(csi_rows, expect) << "columnstore";
+    // The secondary B+ tree entry: key (v, rid), payload (name[, k]).
+    const auto* ix = t->FindSecondary("ix_v");
+    ASSERT_NE(ix, nullptr);
+    std::map<int64_t, Row> btree_rows;
+    ASSERT_TRUE(ix->btree
+                    ->Scan(Bound::Unbounded(), Bound::Unbounded(),
+                           [&](const int64_t* key, const int64_t* payload) {
+                             Row& r = btree_rows[key[1]];
+                             r = expect.count(key[1]) ? expect.at(key[1])
+                                                      : Row(3, Value::Null());
+                             r[2] = t->UnpackValue(2, key[0]);
+                             for (size_t p = 0; p < ix->payload_cols.size();
+                                  ++p) {
+                               const int c = ix->payload_cols[p];
+                               r[c] = t->UnpackValue(c, payload[p]);
+                             }
+                             return true;
+                           },
+                           nullptr)
+                    .ok());
+    EXPECT_EQ(btree_rows, expect) << "secondary B+ tree";
+    // Allocation continues past every logged rid, and a new row lands at
+    // the rid the insert reports.
+    int64_t rid = -1;
+    ASSERT_TRUE(t->InsertPacked(t->PackRow({Value::Int64(5555),
+                                            Value::String("after"),
+                                            Value::Int64(5)}),
+                                nullptr, &rid)
+                    .ok());
+    PackedRow fetched;
+    const int64_t pk = 5555;
+    ASSERT_TRUE(t->FetchRow(rid, {&pk, kind == PrimaryKind::kBTree ? 1u : 0u},
+                            &fetched, nullptr)
+                    .ok());
+    EXPECT_EQ(fetched[0], 5555);
+  }
+}
+
+// A heap's rid is its slot. Rows deleted at the end of the heap before a
+// checkpoint leave no slots in it, so the first insert after a restart
+// must pad the gap to land in the slot its rid names.
+TEST_F(RecoveryTest, HeapInsertAfterRestartLandsAtItsRid) {
+  const std::string dir = FreshDir("heaptail");
+  {
+    auto db = MakeDurable(dir, DurabilityMode::kCommit, 10, PrimaryKind::kHeap);
+    Table* t = db->GetTable("t");
+    std::vector<RowRef> tail;
+    t->ScanAll(
+        [&](int64_t rid, const int64_t* row) {
+          if (rid >= 8) tail.push_back({rid, PackedRow(row, row + 3)});
+          return true;
+        },
+        nullptr);
+    ASSERT_TRUE(t->DeleteRows(tail, nullptr).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  Database db2;
+  ASSERT_TRUE(db2.OpenDurability(dir, DurabilityMode::kCommit).ok());
+  Table* t = db2.GetTable("t");
+  ASSERT_NE(t, nullptr);
+  int64_t rid = -1;
+  ASSERT_TRUE(t->InsertPacked(t->PackRow({Value::Int64(4242),
+                                          Value::String("x"), Value::Int64(1)}),
+                              nullptr, &rid)
+                  .ok());
+  EXPECT_EQ(rid, 10);
+  PackedRow fetched;
+  ASSERT_TRUE(t->FetchRow(rid, {}, &fetched, nullptr).ok());
+  EXPECT_EQ(fetched[0], 4242);
 }
 
 TEST_F(RecoveryTest, ReorgIsCrashAtomic) {
