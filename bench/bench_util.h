@@ -15,6 +15,7 @@
 #include "exec/executor.h"
 #include "obs/query_store.h"
 #include "optimizer/optimizer.h"
+#include "txn/transaction.h"
 #include "workload/mixed_driver.h"
 
 namespace hd {
@@ -130,9 +131,12 @@ inline double CrossoverX(const std::vector<double>& xs,
 inline double Ratio(double a, double b) { return b > 0 ? a / b : 0; }
 
 /// Execute a query end-to-end: optimize under the current catalog, run.
+/// With `snapshot`, the query runs inside its own SNAPSHOT transaction of
+/// that manager, committed after it.
 inline QueryResult RunQuery(Database* db, const Query& q,
                             uint64_t grant = 8ull << 30, int max_dop = 8,
-                            bool cold = false) {
+                            bool cold = false,
+                            TransactionManager* snapshot = nullptr) {
   Optimizer opt(db);
   Configuration cfg = Configuration::FromCatalog(*db);
   PlanOptions popts;
@@ -158,8 +162,15 @@ inline QueryResult RunQuery(Database* db, const Query& q,
     ctx.capture.norm = q.id;
     ctx.capture.fingerprint = FingerprintText(q.id);
   }
+  std::unique_ptr<Transaction> txn;
+  if (snapshot != nullptr) {
+    txn = snapshot->Begin(IsolationLevel::kSnapshot);
+    ctx.txn = txn.get();
+    ctx.txns = snapshot;
+  }
   Executor ex(ctx);
   QueryResult r = ex.Execute(q, plan->plan);
+  if (txn != nullptr && r.ok()) r.status = snapshot->Commit(txn.get());
   if (!r.ok()) {
     std::fprintf(stderr, "exec failed: %s\n", r.status.ToString().c_str());
     std::abort();
@@ -171,10 +182,11 @@ inline QueryResult RunQuery(Database* db, const Query& q,
 /// (metrics plus the per-operator breakdown) of the median repetition.
 inline QueryResult MedianRunResult(Database* db, const Query& q, int reps,
                                    bool cold, uint64_t grant = 8ull << 30,
-                                   int max_dop = 8) {
+                                   int max_dop = 8,
+                                   TransactionManager* snapshot = nullptr) {
   std::vector<QueryResult> rs;
   for (int i = 0; i < reps; ++i) {
-    rs.push_back(RunQuery(db, q, grant, max_dop, cold));
+    rs.push_back(RunQuery(db, q, grant, max_dop, cold, snapshot));
   }
   std::sort(rs.begin(), rs.end(), [](const QueryResult& a, const QueryResult& b) {
     return a.metrics.exec_ms() < b.metrics.exec_ms();

@@ -97,7 +97,10 @@ class Timer {
      retries after a retryable failure, and wall-clock nanoseconds spent   \
      sleeping in the retry backoff. */                                     \
   X(txn_retries, kSum, nullptr)                                            \
-  X(backoff_ns, kSum, nullptr)
+  X(backoff_ns, kSum, nullptr)                                             \
+  /* Snapshot reads: rows versioned since the statement's snapshot that    \
+     paid the version-chain walk. */                                       \
+  X(version_rows, kSum, nullptr)
 
 /// Counters accumulated while executing one query. Thread-safe: parallel
 /// operator instances add into the same object.

@@ -391,7 +391,16 @@ struct Executor::Impl {
   // Locking strategy for this statement.
   bool use_table_lock = false;
   bool row_read_locks = false;
-  /// Whether each row the statement reads pays ReadRow.
+  /// Under SI: a SELECT collects `versioned` in LatchAndPin.
+  bool snapshot_reads = false;
+  /// The base rids with a version stamped since the statement's snapshot
+  /// (TransactionManager::VersionedSince), sorted: the only rows whose
+  /// version chain an SI read walks.
+  std::vector<int64_t> versioned;
+  /// Whether each row the statement reads pays ReadRow: under RC/SR row
+  /// locks, or under SI when `versioned` is not empty. Otherwise the
+  /// statement reads as auto-commit does: encoded-domain pushdown, no
+  /// locators.
   bool txn_row_reads = false;
 
   /// Set by RunSelect when this statement's base scan routes through the
@@ -590,9 +599,10 @@ struct Executor::Impl {
   Status LockUnderLatch(std::unique_lock<FairSharedMutex>* latch,
                         const LockResource& res, LockMode mode,
                         bool* relatched);
-  /// The work a transaction pays per row read (`txn_row_reads`): the
-  /// version chain walk under SI, a row S lock under RC/SR (released at
-  /// once under RC). False after recording a lock failure: stop the scan.
+  /// The work a transaction pays per row read (`txn_row_reads`): under SI
+  /// the version chain walk of a row in `versioned`, under RC/SR a row S
+  /// lock (released at once under RC). False after recording a lock
+  /// failure: stop the scan.
   bool ReadRow(int64_t rid);
 };
 
@@ -631,7 +641,8 @@ Status Executor::Impl::Setup() {
       use_table_lock = plan.est_base_rows > ctx.table_lock_threshold;
       row_read_locks = !use_table_lock;
     }
-    txn_row_reads = si || row_read_locks;
+    snapshot_reads = si;
+    txn_row_reads = row_read_locks;
   }
 
   ops = BuildOperatorSkeleton(q, plan, &opx);
@@ -767,6 +778,12 @@ Status Executor::Impl::LatchAndPin() {
                                 0});
   }
   HD_RETURN_IF_ERROR(PinViews());
+  if (snapshot_reads) {
+    // Nothing newer is missed: a writer notes its versions under the
+    // base's exclusive latch, and a pinned view shows no later write.
+    versioned = ctx.txns->VersionedSince(table_hash, ctx.txn->snapshot_ts());
+    txn_row_reads = !versioned.empty();
+  }
   // A columnstore access reads only its pinned view from here on. Heap and
   // B+ tree reads (base scan, hash build side, nested-loop inner, driving
   // dimension) keep their table latched until DoneReading.
@@ -815,8 +832,12 @@ Status Executor::Impl::LockUnderLatch(std::unique_lock<FairSharedMutex>* latch,
 
 bool Executor::Impl::ReadRow(int64_t rid) {
   if (!row_read_locks) {
-    // SI readers traverse the version chain for recently-updated rows.
-    (void)ctx.txns->VersionChainLength(table_hash, rid, ctx.txn->snapshot_ts());
+    // SI: only a row versioned since the snapshot walks its chain.
+    if (std::binary_search(versioned.begin(), versioned.end(), rid)) {
+      (void)ctx.txns->VersionChainLength(table_hash, rid,
+                                         ctx.txn->snapshot_ts());
+      res.metrics.version_rows.fetch_add(1, std::memory_order_relaxed);
+    }
     return true;
   }
   Status s = ctx.txns->locks()->Acquire(ctx.txn->id(),
@@ -846,9 +867,9 @@ Executor::Impl::CsiScan Executor::Impl::MakeCsiScan(
   s.cols = ColumnsRead(ti);
   s.preds = ToSegPreds(preds);
   if (ti != 0) return s;
-  // Locators (row ids) are only needed when a transaction wants per-row
-  // locks/versions or DML collects row references.
-  s.need_locators = ctx.txn != nullptr || q.kind != Query::Kind::kSelect;
+  // Locators (row ids) are only needed when rows pay ReadRow or DML
+  // collects row references.
+  s.need_locators = txn_row_reads || q.kind != Query::Kind::kSelect;
   s.shared = use_shared_scan;
   // Bloom pushdown: every hash join's build-side filter runs inside the
   // scan on the decoded join-key vector, so rows that cannot join are
@@ -1149,9 +1170,9 @@ std::unique_ptr<Sink> Executor::Impl::MakeSink(
     }
   }
   o.limit = q.limit;
-  // Direct-indexed states run for auto-commit statements only; statements
-  // in a transaction keep hash states until SI reads are reworked.
-  if (ctx.txn == nullptr && q.group_by.size() == 1) {
+  // The key range comes from the pinned view (or build rows) the
+  // statement reads, so it holds inside a transaction too.
+  if (q.group_by.size() == 1) {
     o.key_range_known = GroupKeyRange(q.group_by[0], &o.key_lo, &o.key_hi);
   }
   return std::make_unique<AggSink>(std::move(o));
@@ -1394,11 +1415,11 @@ Status Executor::Impl::RunSelect() {
         if (plan.joins[s].join_idx + 1 == r.table) src_step[k] = s;
       }
     }
-    if (!pspecs.empty() && ctx.txn == nullptr) {
+    if (!pspecs.empty() && !txn_row_reads) {
       // A row group answered entirely from segment metadata and encoded
       // kernels never reaches the batch handler (Fig. 4 aggregate
       // pushdown); its partials fold straight into the sink, an AggSink.
-      // A statement in a transaction reads every row (ReadRow): no pushdown.
+      // A statement whose rows pay ReadRow reads every row: no pushdown.
       auto* agg = static_cast<AggSink*>(sink.get());
       scan.pushdown = [&, agg](int w, int g, QueryMetrics* wm) {
         std::vector<PushAggState> acc(pspecs.size());
@@ -1625,9 +1646,11 @@ Status Executor::Impl::RunDml(std::unique_lock<FairSharedMutex>* latch) {
       mark_wal_write();  // even a failed insert logs its compensation
       HD_RETURN_IF_ERROR(base->InsertPacked(p, m, &rid, wal_txn));
       if (locking) {
+        // Noted before the lock, whose wait may drop the latch: an SI
+        // reader that latches the table meanwhile finds the version.
+        ctx.txns->NoteVersion(table_hash, rid, ctx.txn);
         HD_RETURN_IF_ERROR(LockUnderLatch(latch, LockResource{table_hash, rid},
                                           LockMode::kX, &relatched));
-        ctx.txns->NoteVersion(table_hash, rid, ctx.txn);
       }
       ++res.affected_rows;
     }

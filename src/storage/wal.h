@@ -36,8 +36,8 @@
 // armed in catalog/recovery.cc), `recovery.redo` (replay loop).
 //
 // Telemetry (docs/OBSERVABILITY.md): wal.appends, wal.bytes, wal.fsyncs,
-// wal.group_size, wal.flush_wait_ns; recovery.* counters are published by
-// catalog/recovery.cc.
+// wal.covered_commits, wal.group_size, wal.flush_wait_ns; recovery.*
+// counters are published by catalog/recovery.cc.
 #pragma once
 
 #include <atomic>
@@ -160,7 +160,8 @@ class WalManager {
   Status Append(WalRecord* rec, uint64_t* lsn_out = nullptr);
 
   /// Append the commit record for `txn` and make it durable per mode:
-  /// kCommit = synchronous fsync; kGroup = park until the writer's batch
+  /// kCommit = synchronous fsync, unless a concurrent commit's fsync
+  /// already covered the record; kGroup = park until the writer's batch
   /// fsync covers our LSN. Returns the fsync failure if durability could
   /// not be established (the commit must then be reported failed).
   Status Commit(uint64_t txn);
@@ -189,6 +190,9 @@ class WalManager {
   Status TruncateBelow(uint64_t lsn);
 
   uint64_t fsyncs() const { return fsyncs_; }
+  /// kCommit commits that returned without an fsync of their own, their
+  /// record already made durable by a concurrent commit's fsync.
+  uint64_t covered_commits() const { return covered_commits_; }
   uint64_t appends() const { return appends_; }
 
   /// Scan every segment under <dir>/wal/ in LSN order, invoking `fn` per
@@ -250,6 +254,7 @@ class WalManager {
   bool stop_ = false;
 
   std::atomic<uint64_t> fsyncs_{0};
+  std::atomic<uint64_t> covered_commits_{0};
   std::atomic<uint64_t> appends_{0};
 };
 

@@ -1,6 +1,7 @@
 #include "txn/transaction.h"
 
 #include <algorithm>
+#include <climits>
 
 #include "common/telemetry.h"
 
@@ -74,7 +75,6 @@ Status TransactionManager::Commit(Transaction* txn) {
     durable = wal_->Commit(txn->wal_id_);
   }
   locks_.ReleaseAll(txn->id());
-  txn->noted_.clear();  // committed versions are permanent
   uint64_t oldest = 0;
   {
     std::lock_guard<std::mutex> g(active_mu_);
@@ -85,6 +85,14 @@ Status TransactionManager::Commit(Transaction* txn) {
   // Incremental GC: sweep one shard per commit, so every shard is trimmed
   // within 64 commits of any version becoming invisible.
   TrimShard(vshards_[gc_cursor_.fetch_add(1) % kNumShards], oldest);
+  // Each table list is trimmed by the commits of the transactions that
+  // write the table. Committed versions are permanent: forget them.
+  std::vector<uint64_t> tables;
+  for (const Transaction::Noted& n : txn->noted_) tables.push_back(n.table);
+  std::sort(tables.begin(), tables.end());
+  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+  for (uint64_t t : tables) TrimTable(VersionsOf(t), oldest);
+  txn->noted_.clear();
   Stats().commits->Add(1);
   Stats().commit_ns->Record(SinceNs(txn->begin_tp_));
   return durable;
@@ -101,7 +109,21 @@ void TransactionManager::Abort(Transaction* txn) {
   locks_.ReleaseAll(txn->id());
   int64_t undone = 0;
   for (auto rit = txn->noted_.rbegin(); rit != txn->noted_.rend(); ++rit) {
-    const auto [key, stamp] = *rit;
+    const Transaction::Noted& n = *rit;
+    {
+      // Best effort, as below: a trim may have dropped the entry already.
+      TableVersions& tv = VersionsOf(n.table);
+      std::lock_guard<std::mutex> g(tv.mu);
+      auto e = std::lower_bound(tv.log.begin(), tv.log.end(),
+                                std::make_pair(n.stamp, INT64_MIN));
+      for (; e != tv.log.end() && e->first == n.stamp; ++e) {
+        if (e->second == n.rid) {
+          tv.log.erase(e);
+          break;
+        }
+      }
+    }
+    const uint64_t key = VKey(n.table, n.rid);
     VersionShard& sh = VShardFor(key);
     std::lock_guard<std::mutex> g(sh.mu);
     auto it = sh.chains.find(key);
@@ -110,7 +132,7 @@ void TransactionManager::Abort(Transaction* txn) {
     // Erase one matching stamp, newest-first (ours is likely near the
     // back). Best effort: the marker may already be gone to bounding.
     for (auto c = chain.rbegin(); c != chain.rend(); ++c) {
-      if (*c == stamp) {
+      if (*c == n.stamp) {
         chain.erase(std::next(c).base());
         ++undone;
         break;
@@ -130,24 +152,29 @@ void TransactionManager::Abort(Transaction* txn) {
 
 void TransactionManager::NoteVersion(uint64_t table_hash, int64_t rid,
                                      Transaction* txn) {
+  TableVersions& tv = VersionsOf(table_hash);
   const uint64_t key = VKey(table_hash, rid);
   VersionShard& sh = VShardFor(key);
   int64_t added = 1;
   uint64_t now = 0;
   {
-    std::lock_guard<std::mutex> g(sh.mu);
-    // Stamped under the shard lock, so each chain stays sorted — the trim
-    // relies on it.
+    // Stamped under the table's lock, so its list stays sorted — the
+    // trims and VersionedSince rely on it.
+    std::lock_guard<std::mutex> tg(tv.mu);
     now = ts_.load();
+    tv.log.emplace_back(now, rid);
+    std::lock_guard<std::mutex> g(sh.mu);
+    // Sorted insert (at the back but for keys two tables share), so each
+    // chain stays sorted too.
     auto& chain = sh.chains[key];
-    chain.push_back(now);
+    chain.insert(std::upper_bound(chain.begin(), chain.end(), now), now);
     // Bound chains: a hot row's chain cannot outgrow the sweep.
     if (chain.size() > 64) {
       chain.erase(chain.begin(), chain.begin() + 32);
       added -= 32;
     }
   }
-  if (txn != nullptr) txn->noted_.emplace_back(key, now);
+  if (txn != nullptr) txn->noted_.push_back({table_hash, rid, now});
   Stats().versions->Add(added);
 }
 
@@ -166,6 +193,45 @@ int TransactionManager::VersionChainLength(uint64_t table_hash, int64_t rid,
     ++n;
   }
   return n;
+}
+
+std::vector<int64_t> TransactionManager::VersionedSince(
+    uint64_t table_hash, uint64_t snapshot_ts) const {
+  std::vector<int64_t> rids;
+  TableVersions* tv = FindVersions(table_hash);
+  if (tv == nullptr) return rids;
+  {
+    std::lock_guard<std::mutex> g(tv->mu);
+    auto e = std::lower_bound(tv->log.begin(), tv->log.end(),
+                              std::make_pair(snapshot_ts, INT64_MIN));
+    for (; e != tv->log.end(); ++e) rids.push_back(e->second);
+  }
+  std::sort(rids.begin(), rids.end());
+  rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
+  return rids;
+}
+
+TransactionManager::TableVersions* TransactionManager::FindVersions(
+    uint64_t table_hash) const {
+  std::shared_lock<std::shared_mutex> g(tables_mu_);
+  auto it = tables_.find(table_hash);
+  return it == tables_.end() ? nullptr : it->second.get();
+}
+
+TransactionManager::TableVersions& TransactionManager::VersionsOf(
+    uint64_t table_hash) {
+  if (TableVersions* tv = FindVersions(table_hash)) return *tv;
+  std::unique_lock<std::shared_mutex> g(tables_mu_);
+  auto& slot = tables_[table_hash];
+  if (slot == nullptr) slot = std::make_unique<TableVersions>();
+  return *slot;
+}
+
+void TransactionManager::TrimTable(TableVersions& tv, uint64_t oldest) {
+  std::lock_guard<std::mutex> g(tv.mu);
+  tv.log.erase(tv.log.begin(),
+               std::lower_bound(tv.log.begin(), tv.log.end(),
+                                std::make_pair(oldest, INT64_MIN)));
 }
 
 void TransactionManager::EndSnapshotLocked(const Transaction* txn) {
@@ -204,6 +270,8 @@ void TransactionManager::GarbageCollect() {
     oldest = OldestSnapshotLocked();
   }
   for (auto& sh : vshards_) TrimShard(sh, oldest);
+  std::shared_lock<std::shared_mutex> g(tables_mu_);
+  for (auto& [t, tv] : tables_) TrimTable(*tv, oldest);
 }
 
 uint64_t TransactionManager::version_count() const {

@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -58,22 +60,32 @@ class Transaction {
   bool wal_wrote_ = false;
   /// Begin() time, for the commit/abort latency telemetry histograms.
   std::chrono::steady_clock::time_point begin_tp_;
-  /// Version-store entries this transaction created: (vkey, timestamp).
-  /// Abort undoes them so aborted writers leave no phantom versions (an
-  /// abort neither advances the clock nor runs GC — without undo these
-  /// would inflate chain lengths until a later commit swept them).
-  std::vector<std::pair<uint64_t, uint64_t>> noted_;
+  /// Version-store entries this transaction created. Abort undoes them so
+  /// aborted writers leave no phantom versions (an abort neither advances
+  /// the clock nor runs GC — without undo these would inflate chain
+  /// lengths until a later commit swept them); Commit trims the version
+  /// lists of the tables they name.
+  struct Noted {
+    uint64_t table;
+    int64_t rid;
+    uint64_t stamp;
+  };
+  std::vector<Noted> noted_;
 };
 
 /// Manages transaction lifecycle, the lock manager, and a version store.
 ///
 /// The version store models SI's row versioning cost: every update under
-/// SI appends a version marker keyed by (table, rid); SI readers probe it
-/// per qualifying row and walk the chain length. Every Commit trims one of
-/// the 64 store shards (round-robin) down to the oldest open snapshot, so
-/// the store holds the versions some open snapshot may count plus at most
-/// 64 commits of sweep lag — no background thread. The `txn.versions`
-/// gauge counts the entries.
+/// SI appends a version marker keyed by (table, rid); an SI reader walks
+/// the chain of each row it reads that gained a version since its
+/// snapshot. Every Commit trims one of the 64 store shards (round-robin)
+/// down to the oldest open snapshot, so the store holds the versions some
+/// open snapshot may count plus at most 64 commits of sweep lag — no
+/// background thread. The `txn.versions` gauge counts the entries.
+///
+/// Each table also keeps its versions as one list in stamp order, so a
+/// reader finds the rows versioned since its snapshot (VersionedSince)
+/// without probing the store per row.
 class TransactionManager {
  public:
   TransactionManager() = default;
@@ -110,8 +122,14 @@ class TransactionManager {
   int VersionChainLength(uint64_t table_hash, int64_t rid,
                          uint64_t snapshot_ts) const;
 
-  /// Drop versions older than the oldest open snapshot from every shard:
-  /// the per-shard trim Commit runs on one shard, looped over all of them.
+  /// The rids of `table_hash` with a version stamped at or after
+  /// `snapshot_ts`, sorted and distinct: the rows whose chain an SI reader
+  /// at that snapshot must walk. O(log n + k) in the table's own list.
+  std::vector<int64_t> VersionedSince(uint64_t table_hash,
+                                      uint64_t snapshot_ts) const;
+
+  /// Drop versions older than the oldest open snapshot from every shard
+  /// and every table list: the trims Commit runs, looped over all of them.
   /// Commits keep the store bounded on their own; call this for a drained
   /// store at a quiescent point (version_count() == 0 with no open
   /// snapshot).
@@ -140,6 +158,20 @@ class TransactionManager {
   /// Drop every stamp older than `oldest` from `sh`.
   void TrimShard(VersionShard& sh, uint64_t oldest);
 
+  /// One table's versions as (stamp, rid), stamps ascending: NoteVersion
+  /// reads the clock under `mu` before it appends.
+  struct TableVersions {
+    std::mutex mu;
+    std::deque<std::pair<uint64_t, int64_t>> log;
+  };
+  /// The list of `table_hash`, or null before its first version. Lists
+  /// live as long as the manager, so they are used without tables_mu_.
+  TableVersions* FindVersions(uint64_t table_hash) const;
+  /// FindVersions, creating the list on first use.
+  TableVersions& VersionsOf(uint64_t table_hash);
+  /// Drop the head of `tv` stamped before `oldest`.
+  static void TrimTable(TableVersions& tv, uint64_t oldest);
+
   static constexpr int kNumShards = 64;
   WalManager* wal_ = nullptr;
   LockManager locks_;
@@ -147,6 +179,8 @@ class TransactionManager {
   std::atomic<uint64_t> ts_{1};
   mutable VersionShard vshards_[kNumShards];
   std::atomic<uint64_t> gc_cursor_{0};  // next shard a commit trims
+  mutable std::shared_mutex tables_mu_;  // guards the map, not the lists
+  std::unordered_map<uint64_t, std::unique_ptr<TableVersions>> tables_;
 
   /// Guards active_snapshots_ and orders every ts_ read that registers a
   /// snapshot (Begin) against every ts_ read that bounds a trim (GC).

@@ -13,7 +13,9 @@
 // which holds one running group and a bounded set of closed ones. Last,
 // statements inside a transaction — aggregates and the output sink's
 // projection, ORDER BY and LIMIT — run the same batch pipeline and must
-// match row mode, row locks included.
+// match row mode, row locks included. A snapshot statement reads as an
+// auto-commit one does (dense states, encoded-domain pushdown) except
+// for the rows versioned since its snapshot, which alone walk a chain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -154,6 +156,23 @@ class AggSinkTest : public ::testing::Test {
     ctx.memory_grant_bytes = grant;
     Executor ex(ctx);
     return ex.Execute(q, p);
+  }
+
+  /// `q` over its own base table through `kind` at `dop`, hash-aggregated;
+  /// inside `txn` when given.
+  QueryResult RunOn(const Query& q, AccessPath::Kind kind, int dop,
+                    TransactionManager* tm = nullptr,
+                    Transaction* txn = nullptr) {
+    PhysicalPlan p;
+    p.base.kind = kind;
+    p.agg = AggMethod::kHash;
+    p.dop = dop;
+    ExecContext ctx;
+    ctx.db = &db_;
+    ctx.max_dop = dop;
+    ctx.txns = tm;
+    ctx.txn = txn;
+    return Executor(ctx).Execute(q, p);
   }
 
   /// fact_bt's primary B+ tree leads on `col`.
@@ -337,25 +356,79 @@ TEST_F(AggSinkTest, SmallGrantForcesHashStatesAndGraceSpill) {
   ExpectSameRows(r, full);
 }
 
-TEST_F(AggSinkTest, TransactionStatementsKeepHashStates) {
-  TransactionManager tm;
+// A snapshot statement with no row versioned since its snapshot reads as
+// auto-commit does: dense states and encoded-domain pushdown, no chain
+// walk.
+TEST_F(AggSinkTest, TransactionStatementsUseDenseStates) {
   Query q = On(Query{}, true);
   q.group_by = {ColRef{0, kSmall}};
-  q.aggs = {AggSpec::CountStar()};
+  q.aggs = AllAggs(0, kMInt, kMDbl);
+  TransactionManager tm;
   auto txn = tm.Begin(IsolationLevel::kSnapshot);
-  ExecContext ctx;
-  ctx.db = &db_;
-  ctx.txn = txn.get();
-  ctx.txns = &tm;
-  PhysicalPlan p;
-  p.base.kind = AccessPath::Kind::kCsiScan;
-  Executor ex(ctx);
-  QueryResult r = ex.Execute(q, p);
+  QueryResult r = RunOn(q, AccessPath::Kind::kCsiScan, 4, &tm, txn.get());
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_EQ(r.row_count, 110u);
-  EXPECT_EQ(r.metrics.agg_dense_rows.load(), 0u);
-  EXPECT_GT(r.metrics.hash_probes.load(), 0u);
   ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  EXPECT_EQ(r.row_count, 110u);
+  EXPECT_GT(r.metrics.agg_dense_rows.load(), 0u);
+  EXPECT_EQ(r.metrics.hash_probes.load(), 0u);
+  EXPECT_EQ(r.metrics.version_rows.load(), 0u);
+  ExpectSameRows(r, RunOn(q, AccessPath::Kind::kCsiScan, 4));
+}
+
+TEST_F(AggSinkTest, SnapshotGlobalAggregatePushesDown) {
+  Query q = On(Query{}, true);
+  q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, kMInt), "s"),
+            AggSpec::Min(Expr::Col(0, kSmall))};
+  TransactionManager tm;
+  auto txn = tm.Begin(IsolationLevel::kSnapshot);
+  QueryResult r = RunOn(q, AccessPath::Kind::kCsiScan, 1, &tm, txn.get());
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  EXPECT_GT(r.metrics.aggs_pushed_down.load(), 0u);
+  EXPECT_EQ(r.metrics.version_rows.load(), 0u);
+  ExpectSameRows(r, RunOn(q, AccessPath::Kind::kCsiScan, 1));
+  ExpectSameRows(r, Run(q, false, kModes[0]));
+}
+
+// One row gains a version between BEGIN and the SELECT: that row alone
+// walks its chain, and the result is auto-commit's and row mode's.
+TEST_F(AggSinkTest, OnlyRowsVersionedSinceTheSnapshotPayTheChainWalk) {
+  KeyFactBt(kSmall);
+  Query q;
+  q.base.preds = {Pred::Le(kSmall, Value::Int64(20))};
+  q.group_by = {ColRef{0, kSmall}};
+  q.aggs = {AggSpec::CountStar(), AggSpec::Sum(Expr::Col(0, kMInt), "s")};
+  const QueryResult oracle = Run(q, false, kModes[0]);
+  ASSERT_TRUE(oracle.ok()) << oracle.status.ToString();
+  const std::pair<const char*, AccessPath::Kind> bases[] = {
+      {"fact_csi", AccessPath::Kind::kCsiScan},
+      {"fact_bt", AccessPath::Kind::kBTreeFullScan}};
+  for (const auto& [table, kind] : bases) {
+    // A row the statement reads: the first with k_small <= 20.
+    int64_t rid = -1;
+    db_.GetTable(table)->ScanAll([&](int64_t r, const int64_t* row) {
+      if (row[kSmall] > 20) return true;
+      rid = r;
+      return false;
+    }, nullptr);
+    ASSERT_GE(rid, 0);
+    Query tq = q;
+    tq.base.table = table;
+    for (int dop : {1, 4}) {
+      SCOPED_TRACE(std::string(table) + " dop" + std::to_string(dop));
+      TransactionManager tm;
+      auto txn = tm.Begin(IsolationLevel::kSnapshot);
+      auto writer = tm.Begin(IsolationLevel::kReadCommitted);
+      tm.NoteVersion(LockManager::HashTable(table), rid, writer.get());
+      ASSERT_TRUE(tm.Commit(writer.get()).ok());
+      QueryResult r = RunOn(tq, kind, dop, &tm, txn.get());
+      ASSERT_TRUE(r.ok()) << r.status.ToString();
+      ASSERT_TRUE(tm.Commit(txn.get()).ok());
+      EXPECT_EQ(r.metrics.version_rows.load(), 1u);
+      ExpectSameRows(r, RunOn(tq, kind, dop));
+      ExpectSameRows(r, oracle);
+    }
+  }
 }
 
 // GROUP BY ... LIMIT n without ORDER BY returns the n smallest groups in

@@ -3,17 +3,20 @@
 //
 // A SELECT over a columnstore pins a view under the table latch and scans
 // it unlatched, so writers to the same table run while the scan does. The
-// tests here check the three promises that makes:
+// tests here check the promises that makes:
 //   - a writer never waits for a parked columnstore scan, and the scan
 //     still returns the table as of its pin;
 //   - every concurrent scan sees each statement's effect exactly once
 //     (serial, morsel-parallel and shared-pass scans), while updates,
 //     delta closes, delete-buffer compaction and reorganization run;
 //   - a shared-scan consumer only joins a pass over its own row-group
-//     version.
+//     version;
+//   - snapshot reads, which collect the rows versioned since their
+//     snapshot, return the same rows while transactions write and trim.
 // None of them sleeps: pauses are blocking failpoint hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <future>
@@ -442,6 +445,130 @@ TEST(ReadViewTest, PinnedViewOutlivesMutators) {
   ASSERT_TRUE(csi.Reorganize().ok());
   EXPECT_EQ(sum(*view), 2010);
   EXPECT_EQ(sum(*csi.Pin().value()), 2006);
+}
+
+// ---------------------------------------------------------------------
+// (d) Snapshot readers beside transactional writers.
+// ---------------------------------------------------------------------
+
+// SI readers run a grouped and a global aggregate over the columnstore
+// while writers in transactions update, insert, abort and commit on the
+// same table, so commits trim the table's version list as reads collect
+// from it. Every update keeps each k group's count and sum(a + b), and
+// inserted rows fall outside the band, so every read must return the
+// table's first image, whichever rows paid the chain walk.
+TEST(ReadViewTest, SnapshotReadsHoldUnderTransactionalWriters) {
+  Database db;
+  Table* t = BuildTable(&db);
+  ASSERT_NE(t, nullptr);
+  TransactionManager tm;
+  Query grouped;
+  grouped.base.table = "t";
+  grouped.base.preds.push_back(Pred::Le(0, Value::Int64(kMaxV)));
+  grouped.group_by = {ColRef{0, 0}};
+  grouped.aggs = {AggSpec::CountStar(),
+                  AggSpec::Sum(Expr::Add(Expr::Col(0, 1), Expr::Col(0, 2)))};
+  Query global;
+  global.base = grouped.base;
+  global.aggs = {AggSpec::CountStar(), AggSpec::Min(Expr::Col(0, 0)),
+                 AggSpec::Max(Expr::Col(0, 0))};
+  auto si_read = [&](const Query& q, int dop) {
+    PhysicalPlan p;
+    p.base.kind = AccessPath::Kind::kCsiScan;
+    p.base.index_name = "csi_t";
+    p.agg = AggMethod::kHash;
+    p.dop = dop;
+    auto txn = tm.Begin(IsolationLevel::kSnapshot);
+    ExecContext ctx;
+    ctx.db = &db;
+    ctx.max_dop = dop;
+    ctx.txn = txn.get();
+    ctx.txns = &tm;
+    QueryResult r = Executor(ctx).Execute(q, p);
+    EXPECT_TRUE(tm.Commit(txn.get()).ok());
+    return r;
+  };
+  auto image = [](const QueryResult& r) {
+    std::vector<std::string> rows;
+    for (const Row& row : r.rows) {
+      std::string s;
+      for (const Value& v : row) s += v.ToString() + ",";
+      rows.push_back(std::move(s));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  const QueryResult want_grouped = si_read(grouped, 1);
+  const QueryResult want_global = si_read(global, 1);
+  ASSERT_TRUE(want_grouped.ok() && want_global.ok());
+  ASSERT_EQ(want_global.rows[0][0].i64(), static_cast<int64_t>(kRows));
+
+  // One DML statement in its own transaction, aborted when `abort`. An
+  // abort leaves the statement's effects (PROTOCOL.md §3.3), which keep
+  // the invariant as a commit's do.
+  std::atomic<bool> failed{false};
+  auto txn_dml = [&](const Query& q, IsolationLevel iso, bool abort) {
+    auto txn = tm.Begin(iso);
+    ExecContext ctx;
+    ctx.db = &db;
+    ctx.max_dop = 1;
+    ctx.txn = txn.get();
+    ctx.txns = &tm;
+    const QueryResult r = Executor(ctx).Execute(q, PhysicalPlan{});
+    if (!r.ok() && !r.status.IsRetryable()) failed = true;
+    if (!r.ok() || abort) {
+      tm.Abort(txn.get());
+    } else if (!tm.Commit(txn.get()).ok()) {
+      failed = true;
+    }
+  };
+  std::atomic<int> writers_left{3};
+  std::vector<std::thread> threads;
+  for (uint64_t seed : {1u, 2u}) {  // updaters
+    threads.emplace_back([&, seed] {
+      Rng rng(seed);
+      for (int i = 0; i < 120 && !failed; ++i) {
+        txn_dml(Shift(rng.Uniform(0, kMaxV), rng.Uniform(1, 50)),
+                i % 2 ? IsolationLevel::kSnapshot
+                      : IsolationLevel::kReadCommitted,
+                i % 4 == 3);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {  // inserter
+    for (int i = 0; i < 30 && !failed; ++i) {
+      txn_dml(InsertOutside(20, i * 20), IsolationLevel::kSnapshot,
+              i % 3 == 2);
+    }
+    writers_left.fetch_sub(1);
+  });
+  std::atomic<int> reads{0};
+  for (int dop : {1, 4}) {
+    threads.emplace_back([&, dop] {
+      for (int i = 0; writers_left.load() > 0 || i < 4; ++i) {
+        const bool g = i % 2 == 0;
+        const QueryResult r = si_read(g ? grouped : global, dop);
+        if (!r.ok() || image(r) != image(g ? want_grouped : want_global) ||
+            r.metrics.version_rows.load() > kRows) {
+          ADD_FAILURE() << (g ? "grouped" : "global") << " read " << i
+                        << " at dop " << dop << ": " << r.status.ToString()
+                        << ", " << r.row_count << " rows, version_rows "
+                        << r.metrics.version_rows.load();
+          failed = true;
+          return;
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GE(reads.load(), 8);
+  // With every writer ended, a new snapshot has no newer version.
+  const QueryResult end = si_read(grouped, 4);
+  EXPECT_EQ(image(end), image(want_grouped));
+  EXPECT_EQ(end.metrics.version_rows.load(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -218,6 +218,54 @@ TEST(TransactionTest, GcKeepsVersionsForActiveSnapshots) {
   EXPECT_EQ(tm.version_count(), 0u);
 }
 
+TEST(TransactionTest, VersionedSinceListsOneTablesNewerRows) {
+  TransactionManager tm;
+  const uint64_t th = LockManager::HashTable("t");
+  const uint64_t other = LockManager::HashTable("u");
+  using Rids = std::vector<int64_t>;
+  using Notes = std::vector<std::pair<uint64_t, int64_t>>;
+  auto write = [&](const Notes& notes) {
+    auto w = tm.Begin(IsolationLevel::kReadCommitted);
+    for (const auto& [t, rid] : notes) tm.NoteVersion(t, rid, w.get());
+    return w;
+  };
+  auto commit = [&](const Notes& notes) {
+    ASSERT_TRUE(tm.Commit(write(notes).get()).ok());
+  };
+  // Committed before the snapshot: not listed.
+  commit({{th, 1}, {other, 2}});
+  auto reader = tm.Begin(IsolationLevel::kSnapshot);
+  const uint64_t snap = reader->snapshot_ts();
+  EXPECT_EQ(tm.VersionedSince(th, snap), Rids{});
+  // After it: t's rows 7 (twice) and 3, u's row 5, and an open writer's 9.
+  commit({{th, 7}, {other, 5}, {th, 3}});
+  commit({{th, 7}});
+  auto loser = write({{th, 9}});
+  EXPECT_EQ(tm.VersionedSince(th, snap), (Rids{3, 7, 9}));
+  tm.Abort(loser.get());
+  EXPECT_EQ(tm.VersionedSince(th, snap), (Rids{3, 7}));
+  EXPECT_EQ(tm.VersionedSince(other, snap), Rids{5});
+  EXPECT_EQ(tm.VersionChainLength(th, 7, snap), 2);
+  // Commits trim below the oldest open snapshot: the reader's rows stay.
+  for (int64_t i = 0; i < 3; ++i) commit({{th, 100 + i}, {other, 100 + i}});
+  EXPECT_EQ(tm.VersionedSince(th, snap), (Rids{3, 7, 100, 101, 102}));
+  // A later snapshot lists only what comes after it. Once the first
+  // reader ends, a commit that writes t trims t's list below the second
+  // reader; u's list keeps its rows until a writer of u commits.
+  auto reader2 = tm.Begin(IsolationLevel::kSnapshot);
+  EXPECT_EQ(tm.VersionedSince(th, reader2->snapshot_ts()), Rids{});
+  ASSERT_TRUE(tm.Commit(reader.get()).ok());
+  commit({{th, 42}});
+  EXPECT_EQ(tm.VersionedSince(th, snap), Rids{42});
+  EXPECT_EQ(tm.VersionedSince(th, reader2->snapshot_ts()), Rids{42});
+  EXPECT_EQ(tm.VersionedSince(other, snap), (Rids{5, 100, 101, 102}));
+  EXPECT_EQ(tm.VersionedSince(LockManager::HashTable("none"), 0), Rids{});
+  ASSERT_TRUE(tm.Commit(reader2.get()).ok());
+  tm.GarbageCollect();
+  EXPECT_EQ(tm.VersionedSince(th, 0), Rids{});
+  EXPECT_EQ(tm.VersionedSince(other, 0), Rids{});
+}
+
 int64_t VersionsGauge() {
   return Telemetry::Instance().Gauge("txn.versions")->Value();
 }

@@ -342,6 +342,47 @@ TEST_F(WalTest, CommitModeFsyncsEveryCommit) {
   EXPECT_GE(wal.fsyncs() - before, 10u);
 }
 
+// Per-commit durability under concurrent committers: every Commit returns
+// with its own record durable, by its own fsync or, when a concurrent
+// commit's fsync already covered it, with none (a covered commit).
+TEST_F(WalTest, CommitModeEveryCommitReturnsDurable) {
+  const std::string dir = FreshDir("commitcovered");
+  WalManager wal(dir, DurabilityMode::kCommit);
+  ASSERT_TRUE(wal.Open(1, 1).ok());
+  constexpr int kThreads = 6;
+  constexpr int kTxnsPerThread = 30;
+  constexpr uint64_t kCommits = kThreads * kTxnsPerThread;
+  const uint64_t fsyncs_before = wal.fsyncs();
+  // durable_lsn() as each txn's Commit returned, checked below against
+  // the LSN its commit record got in the log.
+  std::vector<std::map<uint64_t, uint64_t>> durable_at(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        const uint64_t txn = wal.AllocTxnId();
+        WalRecord r = MakeInsert(txn, 1, t * kTxnsPerThread + i, i);
+        ASSERT_TRUE(wal.Append(&r).ok());
+        ASSERT_TRUE(wal.Commit(txn).ok());
+        durable_at[t][txn] = wal.durable_lsn();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(wal.fsyncs() - fsyncs_before + wal.covered_commits(), kCommits);
+  uint64_t checked = 0;
+  ASSERT_TRUE(WalManager::ReadLog(dir, [&](const WalRecord& rec) {
+                if (rec.type != WalRecordType::kTxnCommit) return;
+                for (const auto& m : durable_at) {
+                  auto it = m.find(rec.txn);
+                  if (it == m.end()) continue;
+                  EXPECT_GE(it->second, rec.lsn) << "txn " << rec.txn;
+                  ++checked;
+                }
+              }).ok());
+  EXPECT_EQ(checked, kCommits);
+}
+
 TEST_F(WalTest, AppendFailpointRejectsRecord) {
   const std::string dir = FreshDir("appendfp");
   WalManager wal(dir, DurabilityMode::kCommit);
